@@ -545,6 +545,54 @@ impl Fnv {
     }
 }
 
+/// Resolves a worker count: `0` means one per available core.
+fn resolve_jobs(jobs: usize) -> usize {
+    if jobs == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        jobs
+    }
+}
+
+/// Runs `f(0..n)` on up to `jobs` scoped workers (`0` → one per core)
+/// and returns the results in index order.
+///
+/// Workers claim indices from a shared counter, so the order cells run
+/// in varies with `jobs`, but the returned vector does not: as long as
+/// each `f(i)` is a pure function of `i`, the output is identical to
+/// `(0..n).map(f).collect()`. A panicking `f` is re-raised on the caller.
+///
+/// ```
+/// let squares = sgxgauge_core::sweep::grid_map(3, 5, |i| i * i);
+/// assert_eq!(squares, [0, 1, 4, 9, 16]);
+/// ```
+pub fn grid_map<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = resolve_jobs(jobs).clamp(1, n.max(1));
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return mine;
+                        }
+                        mine.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
+}
+
 /// Fans the benchmark grid across OS threads.
 ///
 /// Construction is builder-style: [`SuiteRunner::new`] covers every mode
@@ -761,11 +809,7 @@ impl SuiteRunner {
 
     /// Resolves the configured thread count (`0` → one per core).
     pub(crate) fn thread_count(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
+        resolve_jobs(self.threads)
     }
 
     /// Runs an explicit subset of cells across the configured worker
@@ -778,31 +822,9 @@ impl SuiteRunner {
     /// interleaved. No quarantine/stop supervision is applied here —
     /// the caller owns cell-level policy.
     pub fn run_cells(&self, workloads: &[&dyn Workload], cells: &[CellKey]) -> Vec<SweepCell> {
-        let n = cells.len();
-        let threads = self.thread_count().clamp(1, n.max(1));
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<SweepCell>>> = Mutex::new((0..n).map(|_| None).collect());
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let done = self.run_cell(workloads, cells[i]);
-                    slots
-                        .lock()
-                        .expect("no worker holds the lock across a panic")[i] = Some(done);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("workers finished cleanly")
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.unwrap_or_else(|| skipped_cell(workloads, cells[i])))
-            .collect()
+        grid_map(self.threads, cells.len(), |i| {
+            self.run_cell(workloads, cells[i])
+        })
     }
 
     /// Runs the grid on the calling thread, no pool involved — the

@@ -10,6 +10,17 @@
 //! This module models residency, eviction policy (clock / second chance)
 //! and the event stream; cycle charging lives in
 //! [`crate::machine::SgxMachine`].
+//!
+//! The frame arena is also the EPCM. SGX keeps one EPCM entry per EPC
+//! frame recording its owner, virtual page and permissions (§2.3, Fig 1);
+//! here each frame slot carries its [`PageKey`] (owner + virtual page),
+//! and every page is read-write. No separate table is kept: ownership
+//! holds by construction, because residency is keyed by
+//! `PageKey { enclave, page }` and the machine's secure access path only
+//! keys by the current enclave inside its own ELRANGE, so an enclave can
+//! never reach another enclave's frame. The cost of the hardware check is
+//! still charged as `LatencyModel::epcm_check` on every EPC TLB fill
+//! (`mem_sim::AccessAttrs::EPC`).
 
 use crate::enclave::EnclaveId;
 use crate::pagedir::{FrameIndex, PageSet};
@@ -46,6 +57,9 @@ pub struct EpcEvent {
     pub evicted: Vec<PageKey>,
 }
 
+/// One EPC frame slot, which is also the frame's EPCM entry: `key`
+/// records the owning enclave and the virtual page the frame holds
+/// (permissions are implicitly read-write). See the module docs.
 #[derive(Debug, Clone)]
 struct FrameMeta {
     key: PageKey,
@@ -77,6 +91,9 @@ pub struct EpcEnclaveStats {
 }
 
 /// The EPC frame pool with a clock (second-chance) replacement policy.
+///
+/// The pool is the only record of which enclave owns which resident page:
+/// its frame slots are the EPCM (see the module docs).
 ///
 /// ```
 /// use sgx_sim::epc::{Epc, PageKey, EpcFaultKind};

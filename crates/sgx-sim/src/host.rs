@@ -1,10 +1,11 @@
-//! Co-tenant host: N enclaves sharing one EPC, EPCM and eviction clock.
+//! Co-tenant host: N enclaves sharing one EPC and eviction clock.
 //!
 //! SGXGauge measures every workload in a single enclave, but production
 //! SGX hosts pack many tenants onto one ~92 MB EPC. This module models
 //! that regime without duplicating any machine state: a [`Host`] owns a
-//! single [`crate::SgxMachine`] (one shared [`crate::Epc`], one
-//! [`crate::Epcm`], one clock hand) and schedules the queued op streams
+//! single [`crate::SgxMachine`] (one shared [`crate::Epc`], whose frame
+//! slots double as the EPCM, and one clock hand) and schedules the
+//! queued op streams
 //! of N tenant enclaves with a deterministic cycle-fair interleaver.
 //!
 //! # Scheduling

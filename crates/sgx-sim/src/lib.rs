@@ -6,8 +6,10 @@
 //! * the **Enclave Page Cache** ([`epc::Epc`]): 92 MB of 4 KiB frames
 //!   inside the 128 MB PRM, with clock eviction in 16-page EWB batches and
 //!   ELDU load-backs (paper §2.2, Appendix A),
-//! * the **EPCM** ([`epcm::Epcm`]): per-frame ownership records verified
-//!   on TLB fills for enclave pages (§2.3, Fig 1),
+//! * the **EPCM**: one record per EPC frame, which is the frame slot
+//!   itself (owner + virtual page in [`epc::PageKey`]). Ownership holds
+//!   by construction; the §2.3 check's cost is charged on EPC TLB fills
+//!   (Fig 1),
 //! * the **MEE**: modeled as a DRAM-latency multiplier on PRM traffic
 //!   (via [`mem_sim::AccessAttrs`]),
 //! * **enclave lifecycle** ([`enclave`], [`machine::SgxMachine`]):
@@ -46,7 +48,6 @@ pub mod costs;
 pub mod driver;
 pub mod enclave;
 pub mod epc;
-pub mod epcm;
 pub mod host;
 pub mod machine;
 mod pagedir;
@@ -56,7 +57,6 @@ pub use attest::{ereport, verify_report, Report};
 pub use driver::{DriverOp, DriverStats};
 pub use enclave::{Enclave, EnclaveId};
 pub use epc::{Epc, EpcEnclaveStats, EpcFaultKind, PageKey};
-pub use epcm::{Epcm, EpcmEntry};
 pub use host::{Host, HostBuilder, HostError, TenantId, TenantOp, TenantReport, TenantSpec};
 pub use machine::{CounterField, InitStats, SgxConfig, SgxCounters, SgxError, SgxMachine};
 pub use switchless::SwitchlessPool;

@@ -10,7 +10,6 @@ use crate::costs;
 use crate::driver::{DriverOp, DriverStats};
 use crate::enclave::{Enclave, EnclaveId, EnclaveState};
 use crate::epc::{Epc, EpcFaultKind, PageKey};
-use crate::epcm::{Epcm, PagePerms};
 use crate::switchless::SwitchlessPool;
 use mem_sim::{
     AccessAttrs, AccessKind, AccessOutcome, Machine, MachineConfig, StreamRun, ThreadId,
@@ -319,7 +318,6 @@ pub struct SgxMachine {
     cfg: SgxConfig,
     mem: Machine,
     epc: Epc,
-    epcm: Epcm,
     enclaves: Vec<Enclave>,
     active_tcs: Vec<usize>,
     in_enclave: Vec<Option<EnclaveId>>,
@@ -372,7 +370,6 @@ impl SgxMachine {
             cfg,
             mem,
             epc,
-            epcm: Epcm::new(),
             enclaves: Vec::new(),
             active_tcs: Vec::new(),
             in_enclave: Vec::new(),
@@ -539,7 +536,6 @@ impl SgxMachine {
             self.driver.record(DriverOp::AllocPage, ac);
             enclave.extend_measurement(i);
             init.cycles += cycles;
-            self.epcm.record(id, first + i, PagePerms::RW);
         }
         // After verification the streamed pages are released; real
         // allocations happen on demand ("EPC pages are allocated after
@@ -586,7 +582,6 @@ impl SgxMachine {
         }
         self.active_tcs[id.0] = 0;
         self.epc.remove_enclave(id);
-        self.epcm.remove_enclave(id);
         self.enclaves[id.0].destroy();
         self.last_touched = None;
         self.audit();
@@ -998,7 +993,6 @@ impl SgxMachine {
                 }
                 self.driver.record(DriverOp::AllocPage, c);
                 self.counters.epc_allocs += 1;
-                self.epcm.record(eid, page, PagePerms::RW);
                 fault_cycles += c;
             }
             EpcFaultKind::LoadBack => {
@@ -1154,11 +1148,6 @@ impl SgxMachine {
         &self.epc
     }
 
-    /// EPCM diagnostics.
-    pub fn epcm(&self) -> &Epcm {
-        &self.epcm
-    }
-
     /// The configuration this machine was built with.
     pub fn config(&self) -> &SgxConfig {
         &self.cfg
@@ -1169,9 +1158,6 @@ impl SgxMachine {
     ///
     /// * the EPC's own structural invariants
     ///   ([`Epc::check_invariants`]),
-    /// * **EPCM coverage** — every resident page has an EPCM entry whose
-    ///   owner and virtual page match (the §2.3 ownership check could not
-    ///   pass otherwise),
     /// * **memo residency** — the streaming fast-path memo only ever
     ///   names a resident page,
     /// * **AEX accounting** — every EPC fault exits the enclave exactly
@@ -1187,21 +1173,6 @@ impl SgxMachine {
     /// panics on violation.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.epc.check_invariants()?;
-        for key in self.epc.resident_keys() {
-            match self.epcm.entry(key.page) {
-                None => return Err(format!("resident page {key:?} has no EPCM entry")),
-                Some(e) if e.owner != key.enclave => {
-                    return Err(format!(
-                        "resident page {key:?} recorded as owned by {:?}",
-                        e.owner
-                    ))
-                }
-                Some(e) if e.vpage != key.page => {
-                    return Err(format!("EPCM entry for {key:?} records vpage {}", e.vpage))
-                }
-                Some(_) => {}
-            }
-        }
         if let Some((eid, page)) = self.last_touched {
             let key = PageKey { enclave: eid, page };
             if !self.epc.is_resident(key) {

@@ -13,6 +13,7 @@ use sgxgauge::core::io as artifact_io;
 use sgxgauge::core::report::{
     cycle_breakdown, humanize, quarantine_table, sweep_table, RatioRow, ReportTable,
 };
+use sgxgauge::core::sweep::grid_map;
 use sgxgauge::core::{
     ArtifactIo, CellKey, ChaosFs, EnvConfig, ExecMode, InputSetting, PartyDim, RealFs, RunReport,
     Runner, RunnerConfig, SuiteRunner, TenantDim, TraceConfig, Workload,
@@ -27,9 +28,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:
+const USAGE: &str = "usage:
   sgxgauge list
   sgxgauge run     --workload <name> --mode <vanilla|native|libos> --setting <low|medium|high>
                    [--scale <divisor>] [--switchless <workers>] [--pf]
@@ -89,17 +88,55 @@ host io fault spec (comma-separated, e.g. \"seed=7,eio=20,torn=5,crash_rename=3\
                       replays its recovery journal (repairing or quarantining
                       interrupted writes) before adopting completed cells
 --report <file.csv>   emit the suite table as CSV sealed with an integrity
-                      footer"
-    );
+                      footer";
+
+fn usage() -> ExitCode {
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags each subcommand accepts (space-separated) — exactly those
+/// its usage text lists. `None` for an unknown subcommand.
+fn valid_flags(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "list" => "",
+        "run" => "workload mode setting scale switchless pf faults cell-budget",
+        "compare" => "workload setting scale",
+        "suite" => {
+            "setting scale modes reps jobs faults cell-budget retries max-quarantine \
+             checkpoint resume report io-faults"
+        }
+        "trace" => {
+            "mode setting scale out jobs sample capacity switchless pf faults cell-budget \
+             io-faults"
+        }
+        "campaign" => "out soak",
+        "cotenancy" => "tenants wave epc-pages ops jobs out timeline",
+        "mpc" => "parties threshold rounds net jobs out timeline",
+        _ => return None,
+    })
+}
+
+/// Parses `--name value` pairs (and the bare `--pf` switch), rejecting
+/// any flag not in `valid` so a misspelling cannot be silently ignored.
+fn parse_flags(cmd: &str, valid: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--") {
+            if !valid.split_whitespace().any(|f| f == name) {
+                let list: Vec<String> =
+                    valid.split_whitespace().map(|f| format!("--{f}")).collect();
+                return Err(if list.is_empty() {
+                    format!("unknown flag `{a}`: `{cmd}` takes no flags")
+                } else {
+                    format!(
+                        "unknown flag `{a}` for `{cmd}`; valid flags: {}",
+                        list.join(", ")
+                    )
+                });
+            }
             if name == "pf" {
                 flags.insert("pf".to_owned(), "true".to_owned());
                 i += 1;
@@ -708,39 +745,15 @@ fn cmd_cotenancy(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("jobs")
         .map_or(Ok(0), |s| s.parse())
         .map_err(|_| "bad --jobs")?;
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        jobs
-    };
     let traced = flags.contains_key("timeline");
 
     // Fan the cells (antagonist counts 0..tenants) across workers;
     // aggregate strictly in grid order.
-    let n = usize::from(tenants);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<CotenancyCell, String>>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = run_cotenancy_cell(i as u8, wave, epc_pages, ops, traced);
-                *slots[i].lock().expect("cell slot lock") = Some(out);
-            });
-        }
-    });
-    let mut cells = Vec::with_capacity(n);
-    for slot in slots {
-        cells.push(
-            slot.into_inner()
-                .expect("cell slot lock")
-                .ok_or("cell never ran (internal error)")??,
-        );
-    }
+    let cells = grid_map(jobs, usize::from(tenants), |i| {
+        run_cotenancy_cell(i as u8, wave, epc_pages, ops, traced)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     // Noisy-neighbor curve: victim slowdown is relative to the
     // antagonist-free cell, which is always grid index 0.
@@ -885,38 +898,14 @@ fn cmd_mpc(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("jobs")
         .map_or(Ok(0), |s| s.parse())
         .map_err(|_| "bad --jobs")?;
-    let jobs = if jobs == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        jobs
-    };
 
     // Quorum-survival curve: party counts t..=n, same plan, same quorum.
     let counts: Vec<u32> = (threshold.max(2)..=parties).collect();
-    let n = counts.len();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<MpcCell, String>>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..jobs.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = run_mpc_cell(counts[i], threshold, rounds, &net);
-                *slots[i].lock().expect("cell slot lock") = Some(out);
-            });
-        }
-    });
-    let mut cells = Vec::with_capacity(n);
-    for slot in slots {
-        cells.push(
-            slot.into_inner()
-                .expect("cell slot lock")
-                .ok_or("cell never ran (internal error)")??,
-        );
-    }
+    let cells = grid_map(jobs, counts.len(), |i| {
+        run_mpc_cell(counts[i], threshold, rounds, &net)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     let mut table = ReportTable::new(
         &format!("MPC threshold-signing sweep ({threshold}-of-p, {rounds} rounds)"),
@@ -1092,7 +1081,10 @@ fn main() -> ExitCode {
     } else {
         (None, &args[1..])
     };
-    let flags = match parse_flags(flag_args) {
+    let Some(valid) = valid_flags(cmd) else {
+        return usage();
+    };
+    let flags = match parse_flags(cmd, valid, flag_args) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1117,6 +1109,92 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SUBCOMMANDS: [&str; 8] = [
+        "list",
+        "run",
+        "compare",
+        "suite",
+        "trace",
+        "campaign",
+        "cotenancy",
+        "mpc",
+    ];
+
+    fn parse(cmd: &str, args: &[&str]) -> Result<HashMap<String, String>, String> {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        parse_flags(cmd, valid_flags(cmd).expect("known subcommand"), &args)
+    }
+
+    #[test]
+    fn misspelled_flag_is_rejected_with_valid_list() {
+        let err = parse(
+            "run",
+            &[
+                "--workload",
+                "BTree",
+                "--mode",
+                "native",
+                "--setting",
+                "low",
+                "--swichless",
+                "4",
+            ],
+        )
+        .unwrap_err();
+        assert!(err.contains("`--swichless`"), "{err}");
+        assert!(err.contains("--switchless"), "{err}");
+        let err = parse("suite", &["--setting", "low", "--job", "2"]).unwrap_err();
+        assert!(err.contains("`--job`") && err.contains("--jobs"), "{err}");
+        let err = parse("list", &["--scale", "4"]).unwrap_err();
+        assert!(err.contains("takes no flags"), "{err}");
+    }
+
+    #[test]
+    fn documented_flags_are_accepted() {
+        for cmd in SUBCOMMANDS {
+            let valid = valid_flags(cmd).expect("known subcommand");
+            let mut args = Vec::new();
+            for flag in valid.split_whitespace() {
+                args.push(format!("--{flag}"));
+                if flag != "pf" {
+                    args.push("1".to_owned());
+                }
+            }
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            let flags = parse(cmd, &args).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+            assert_eq!(flags.len(), valid.split_whitespace().count(), "{cmd}");
+        }
+    }
+
+    /// The table and the usage text list the same flags per subcommand.
+    #[test]
+    fn valid_flags_match_usage_text() {
+        let usage = &USAGE[..USAGE.find("network fault spec").unwrap()];
+        for cmd in SUBCOMMANDS {
+            let start = usage.find(&format!("sgxgauge {cmd}")).unwrap();
+            let rest = &usage[start + "sgxgauge ".len()..];
+            let entry = &rest[..rest.find("\n  sgxgauge ").unwrap_or(rest.len())];
+            let mut listed: Vec<&str> = entry
+                .split("--")
+                .skip(1)
+                .filter_map(|f| {
+                    f.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                        .next()
+                })
+                .collect();
+            listed.sort_unstable();
+            listed.dedup();
+            let mut valid: Vec<&str> = valid_flags(cmd).unwrap().split_whitespace().collect();
+            valid.sort_unstable();
+            assert_eq!(listed, valid, "{cmd}");
         }
     }
 }
