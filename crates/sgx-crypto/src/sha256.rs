@@ -108,9 +108,8 @@ impl Sha256 {
         };
         pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
         // Feed padding through `update` minus the length bookkeeping.
-        let data = &pad[..pad_len + 8].to_vec();
         let saved = self.total_len;
-        self.update(data);
+        self.update(&pad[..pad_len + 8]);
         self.total_len = saved;
         debug_assert_eq!(self.buf_len, 0);
     }

@@ -7,9 +7,17 @@
 //! size — determines how many pages stream through the EPC at build time,
 //! which is what makes GrapheneSGX's 4 GB enclaves cost ≈1 M evictions at
 //! startup (Appendix D).
+//!
+//! The simulated cost of every EEXTEND is charged by the loader
+//! ([`crate::SgxMachine::create_enclave`]) page by page. The digest
+//! itself is a pure function of the ECREATE seed and the number of
+//! measured pages, so the enclave records only those two and folds the
+//! EEXTEND chain on the first [`Enclave::measurement`] read (attestation
+//! is its only consumer); later reads return the cached value.
 
 use mem_sim::{PAGE_SHIFT, PAGE_SIZE};
 use sgx_crypto::Sha256;
+use std::sync::OnceLock;
 
 /// Identifier of an enclave, dense from zero per [`crate::SgxMachine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,8 +42,21 @@ pub struct Enclave {
     size: u64,
     content_bytes: u64,
     state: EnclaveState,
-    measurement: [u8; 32],
+    /// MRENCLAVE after ECREATE, before any EEXTEND.
+    seed: [u8; 32],
+    /// Pages the loader EEXTENDed, fixed at EINIT.
+    measured_pages: u64,
+    /// `seed` extended over `0..measured_pages`, folded on first read.
+    mrenclave: OnceLock<[u8; 32]>,
     heap_next: u64,
+}
+
+/// One EEXTEND: the measurement after extending `m` with `page`.
+fn eextend(m: [u8; 32], page: u64) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(&m);
+    h.update(&page.to_le_bytes());
+    h.finalize()
 }
 
 impl Enclave {
@@ -68,7 +89,9 @@ impl Enclave {
             size,
             content_bytes,
             state: EnclaveState::Building,
-            measurement: h.finalize(),
+            seed: h.finalize(),
+            measured_pages: 0,
+            mrenclave: OnceLock::new(),
             heap_next: base + content_bytes.next_multiple_of(PAGE_SIZE),
         }
     }
@@ -113,9 +136,13 @@ impl Enclave {
         self.state
     }
 
-    /// The measurement accumulated so far (MRENCLAVE analogue).
+    /// The measurement (MRENCLAVE analogue): the ECREATE seed extended
+    /// with every page measured before EINIT. Folded on the first call
+    /// and cached.
     pub fn measurement(&self) -> [u8; 32] {
-        self.measurement
+        *self
+            .mrenclave
+            .get_or_init(|| (0..self.measured_pages).fold(self.seed, eextend))
     }
 
     /// Start of the heap region (just after the measured content).
@@ -145,26 +172,21 @@ impl Enclave {
         self.base + self.size - self.heap_next
     }
 
-    /// Extends the measurement with one page's contents (EEXTEND); the
-    /// loader calls this for every measured page during the build phase.
-    pub(crate) fn extend_measurement(&mut self, page_index: u64) {
-        let mut h = Sha256::new();
-        h.update(&self.measurement);
-        h.update(&page_index.to_le_bytes());
-        self.measurement = h.finalize();
-    }
-
-    /// Marks the enclave initialized (EINIT).
+    /// Marks the enclave initialized (EINIT) after the loader EEXTENDed
+    /// pages `0..measured_pages`.
     ///
     /// # Panics
     ///
     /// Panics if the enclave is not in the building state.
-    pub(crate) fn initialize(&mut self) {
+    pub(crate) fn initialize(&mut self, measured_pages: u64) {
         assert_eq!(
             self.state,
             EnclaveState::Building,
             "EINIT on non-building enclave"
         );
+        self.measured_pages = measured_pages;
+        // Drop a digest read while building: it predates the EEXTENDs.
+        self.mrenclave = OnceLock::new();
         self.state = EnclaveState::Initialized;
     }
 
@@ -204,25 +226,45 @@ mod tests {
 
     #[test]
     fn measurement_changes_per_page() {
-        let mut e = Enclave::create(EnclaveId(0), 0, 4 * PAGE_SIZE, 4 * PAGE_SIZE);
+        let e = Enclave::create(EnclaveId(0), 0, 4 * PAGE_SIZE, 4 * PAGE_SIZE);
         let m0 = e.measurement();
-        e.extend_measurement(0);
-        let m1 = e.measurement();
-        e.extend_measurement(1);
-        let m2 = e.measurement();
+        let m1 = eextend(m0, 0);
+        let m2 = eextend(m1, 1);
         assert_ne!(m0, m1);
         assert_ne!(m1, m2);
     }
 
     #[test]
     fn measurement_is_order_sensitive() {
-        let mut a = Enclave::create(EnclaveId(0), 0, 4 * PAGE_SIZE, 4 * PAGE_SIZE);
-        let mut b = Enclave::create(EnclaveId(1), 0, 4 * PAGE_SIZE, 4 * PAGE_SIZE);
-        a.extend_measurement(0);
-        a.extend_measurement(1);
-        b.extend_measurement(1);
-        b.extend_measurement(0);
-        assert_ne!(a.measurement(), b.measurement());
+        let seed = Enclave::create(EnclaveId(0), 0, 4 * PAGE_SIZE, 4 * PAGE_SIZE).measurement();
+        let a = eextend(eextend(seed, 0), 1);
+        let b = eextend(eextend(seed, 1), 0);
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn measurement_folds_the_pages_measured_at_einit() {
+        let mut e = Enclave::create(EnclaveId(0), 0, 4 * PAGE_SIZE, 4 * PAGE_SIZE);
+        let seed = e.measurement();
+        e.initialize(2);
+        let folded = eextend(eextend(seed, 0), 1);
+        assert_eq!(e.measurement(), folded, "a pre-EINIT read must not stick");
+        assert_eq!(e.clone().measurement(), folded);
+    }
+
+    #[test]
+    fn measurement_distinguishes_neighbouring_sizes() {
+        let m = |pages: u64| {
+            let mut e = Enclave::create(EnclaveId(0), 0, pages * PAGE_SIZE, 0);
+            let seed = e.measurement();
+            e.initialize(pages);
+            assert_eq!(e.measurement(), (0..pages).fold(seed, eextend));
+            e.measurement()
+        };
+        let (a, b, c) = (m(63), m(64), m(65));
+        assert_ne!(a, b);
+        assert_ne!(b, c);
+        assert_ne!(a, c);
     }
 
     #[test]

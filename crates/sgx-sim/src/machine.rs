@@ -534,7 +534,6 @@ impl SgxMachine {
             }
             let ac = self.jittered(self.cfg.alloc_page_cycles);
             self.driver.record(DriverOp::AllocPage, ac);
-            enclave.extend_measurement(i);
             init.cycles += cycles;
         }
         // After verification the streamed pages are released; real
@@ -554,7 +553,7 @@ impl SgxMachine {
         if self.mem.thread_count() > 0 {
             self.mem.charge(ThreadId(0), init.cycles);
         }
-        enclave.initialize();
+        enclave.initialize(total);
         self.enclaves.push(enclave);
         self.active_tcs.push(0);
         self.init_stats.push(init);
@@ -1518,6 +1517,65 @@ mod tests {
         let heap = m.alloc_enclave_heap(e, 4 * PAGE_SIZE).unwrap();
         m.access(t, heap, 8, AccessKind::Write);
         assert_eq!(m.sgx_counters().epc_allocs, 4 + 1);
+    }
+
+    /// MRENCLAVE of `create_enclave` under the default platform, pinned
+    /// to digests of the eager per-page EEXTEND chain it replaced.
+    #[test]
+    fn measurement_matches_pinned_digests() {
+        let golden = [
+            (
+                64 * PAGE_SIZE,
+                16 * PAGE_SIZE,
+                false,
+                "a37cd960b7521b9e3a4a61f7fc6b558478a59a605a6e2266b835041c0aa0309c",
+            ),
+            (
+                256 << 20,
+                28 << 20,
+                false,
+                "d7ce0e4355b5ef60026e8ed44d9a0d00e893294880949703540bbfdd64ccc518",
+            ),
+            (
+                4 << 30,
+                28 << 20,
+                true,
+                "e9d3ed239722f53b935a816cf390c148b0980ea8cf36e3beabc5bf01bf4917fe",
+            ),
+        ];
+        for (size, content, edmm, digest) in golden {
+            assert_measures(size, content, edmm, digest);
+        }
+    }
+
+    /// The Graphene-default geometry: 1 M pages measured. Cheap in plain
+    /// test builds, but the `audit` feature checks the whole EPC after
+    /// every eviction batch, which takes minutes at this size.
+    #[test]
+    #[cfg_attr(feature = "audit", ignore = "minutes of per-eviction EPC audits")]
+    fn measurement_of_4gb_sgx1_build_matches_pinned_digest() {
+        assert_measures(
+            4 << 30,
+            28 << 20,
+            false,
+            "dfc39e8cc64f8be8f57595661d2b213ff68a1b2bc769a9d09c201d764a636911",
+        );
+    }
+
+    fn assert_measures(size: u64, content: u64, edmm: bool, digest: &str) {
+        let mut m = SgxMachine::new(SgxConfig {
+            sgx2_edmm: edmm,
+            ..SgxConfig::default()
+        });
+        m.add_thread();
+        let e = m.create_enclave(size, content).unwrap();
+        let first = m.enclave(e).measurement();
+        assert_eq!(
+            sgx_crypto::sha256::to_hex(&first),
+            digest,
+            "size {size} content {content} edmm {edmm}"
+        );
+        assert_eq!(m.enclave(e).measurement(), first, "cached digest");
     }
 
     #[test]

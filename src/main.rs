@@ -117,6 +117,22 @@ fn valid_flags(cmd: &str) -> Option<&'static str> {
     })
 }
 
+/// Levenshtein distance between two flag names.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let sub = diag + usize::from(ca != cb);
+            diag = row[j + 1];
+            row[j + 1] = sub.min(diag + 1).min(row[j] + 1);
+        }
+    }
+    row[b.len()]
+}
+
 /// Parses `--name value` pairs (and the bare `--pf` switch), rejecting
 /// any flag not in `valid` so a misspelling cannot be silently ignored.
 fn parse_flags(cmd: &str, valid: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
@@ -128,14 +144,22 @@ fn parse_flags(cmd: &str, valid: &str, args: &[String]) -> Result<HashMap<String
             if !valid.split_whitespace().any(|f| f == name) {
                 let list: Vec<String> =
                     valid.split_whitespace().map(|f| format!("--{f}")).collect();
-                return Err(if list.is_empty() {
-                    format!("unknown flag `{a}`: `{cmd}` takes no flags")
-                } else {
-                    format!(
-                        "unknown flag `{a}` for `{cmd}`; valid flags: {}",
-                        list.join(", ")
-                    )
-                });
+                if list.is_empty() {
+                    return Err(format!("unknown flag `{a}`: `{cmd}` takes no flags"));
+                }
+                let mut err = format!(
+                    "unknown flag `{a}` for `{cmd}`; valid flags: {}",
+                    list.join(", ")
+                );
+                let nearest = valid
+                    .split_whitespace()
+                    .map(|f| (edit_distance(name, f), f))
+                    .filter(|&(d, _)| d <= 2)
+                    .min_by_key(|&(d, _)| d);
+                if let Some((_, f)) = nearest {
+                    err.push_str(&format!("; did you mean `--{f}`?"));
+                }
+                return Err(err);
             }
             if name == "pf" {
                 flags.insert("pf".to_owned(), "true".to_owned());
@@ -1155,6 +1179,31 @@ mod tests {
         assert!(err.contains("`--job`") && err.contains("--jobs"), "{err}");
         let err = parse("list", &["--scale", "4"]).unwrap_err();
         assert!(err.contains("takes no flags"), "{err}");
+    }
+
+    #[test]
+    fn near_miss_flag_gets_a_suggestion() {
+        let args = ["--sedd".to_owned(), "1".to_owned()];
+        let err = parse_flags("x", "scale seed jobs", &args).unwrap_err();
+        assert!(err.ends_with("; did you mean `--seed`?"), "{err}");
+        let err = parse("run", &["--swichless", "4"]).unwrap_err();
+        assert!(err.ends_with("did you mean `--switchless`?"), "{err}");
+    }
+
+    #[test]
+    fn distant_flag_gets_no_suggestion() {
+        let err = parse("run", &["--frobnicate", "1"]).unwrap_err();
+        assert!(err.contains("valid flags: --workload"), "{err}");
+        assert!(!err.contains("did you mean"), "{err}");
+    }
+
+    #[test]
+    fn edit_distance_counts_single_edits() {
+        assert_eq!(edit_distance("seed", "seed"), 0);
+        assert_eq!(edit_distance("sedd", "seed"), 1);
+        assert_eq!(edit_distance("job", "jobs"), 1);
+        assert_eq!(edit_distance("sacle", "scale"), 2);
+        assert_eq!(edit_distance("", "out"), 3);
     }
 
     #[test]
