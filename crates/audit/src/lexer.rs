@@ -1,11 +1,12 @@
 //! A minimal, dependency-free Rust lexer.
 //!
-//! The linter rules only need a token stream with comments stripped,
-//! string contents preserved (so allowlists can match `expect` messages),
-//! integer literals normalized to values, and line numbers for reporting.
-//! A full parse (via `syn` or rustc) would be overkill and would pull
-//! network dependencies into an offline build; everything `gauge-audit`
-//! checks is expressible over this stream plus brace matching.
+//! [`crate::parser`] builds its item tree on this stream: comments
+//! stripped, string contents preserved, integer literals normalized to
+//! values (what `cost-literals` compares), and line numbers for
+//! reporting. A full parse (via `syn` or rustc) would be overkill and
+//! would pull network dependencies into an offline build. A scan lexes
+//! each file once, in [`crate::parser::FileIr::parse`]; only the rule
+//! context lexes its two canonical modules on its own.
 //!
 //! Handled: line/doc comments, nested block comments, string / raw
 //! string / byte-string literals, char literals vs. lifetimes, integer
@@ -289,88 +290,6 @@ fn scan_number(cs: &[char], mut i: usize) -> (Option<Tok>, usize) {
     (Some(Tok::Int(val)), i)
 }
 
-/// Token-index ranges `(start, end)` (inclusive) of items gated behind
-/// `#[cfg(test)]` or `#[test]`, so rules can skip test-only code.
-pub fn test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        let Some(attr_end) = test_attr_end(tokens, i) else {
-            i += 1;
-            continue;
-        };
-        // Skip any further attributes on the same item.
-        let mut j = attr_end + 1;
-        while j + 1 < tokens.len()
-            && tokens[j].tok == Tok::Punct('#')
-            && tokens[j + 1].tok == Tok::Punct('[')
-        {
-            j = match match_close(tokens, j + 1, '[', ']') {
-                Some(e) => e + 1,
-                None => break,
-            };
-        }
-        // The item extends to its matching `}` (mod/fn body) or to a
-        // terminating `;` (e.g. `#[cfg(test)] use ...;`).
-        let mut end = tokens.len() - 1;
-        let mut k = j;
-        while k < tokens.len() {
-            match tokens[k].tok {
-                Tok::Punct(';') => {
-                    end = k;
-                    break;
-                }
-                Tok::Punct('{') => {
-                    end = match_close(tokens, k, '{', '}').unwrap_or(tokens.len() - 1);
-                    break;
-                }
-                _ => k += 1,
-            }
-        }
-        spans.push((i, end));
-        i = end + 1;
-    }
-    spans
-}
-
-/// If tokens at `i` start a `#[test]` / `#[cfg(test)]`-style attribute,
-/// returns the index of its closing `]`.
-fn test_attr_end(tokens: &[Token], i: usize) -> Option<usize> {
-    if tokens[i].tok != Tok::Punct('#') || tokens.get(i + 1)?.tok != Tok::Punct('[') {
-        return None;
-    }
-    let close = match_close(tokens, i + 1, '[', ']')?;
-    let idents: Vec<&str> = tokens[i + 2..close]
-        .iter()
-        .filter_map(|t| match &t.tok {
-            Tok::Ident(s) => Some(s.as_str()),
-            _ => None,
-        })
-        .collect();
-    let first = *idents.first()?;
-    // `cfg(not(test))` gates *non*-test code; never exclude it.
-    let is_test =
-        first == "test" || (first == "cfg" && idents.contains(&"test") && !idents.contains(&"not"));
-    is_test.then_some(close)
-}
-
-/// Index of the punctuation closing the `open` at `start` (handles
-/// nesting); `None` when unbalanced.
-fn match_close(tokens: &[Token], start: usize, open: char, close: char) -> Option<usize> {
-    let mut depth = 0i64;
-    for (k, t) in tokens.iter().enumerate().skip(start) {
-        if t.tok == Tok::Punct(open) {
-            depth += 1;
-        } else if t.tok == Tok::Punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,35 +356,5 @@ mod tests {
         let toks = lex("r#\"evil 12_000 \"quote\" \"# tail");
         assert!(toks.iter().all(|t| t.tok != Tok::Int(12_000)));
         assert_eq!(toks.last().unwrap().tok, Tok::Ident("tail".into()));
-    }
-
-    #[test]
-    fn cfg_test_mod_span_covers_body() {
-        let src = "fn a() { b(); }\n#[cfg(test)]\nmod tests { fn c() { d(); } }\nfn e() {}";
-        let toks = lex(src);
-        let spans = test_spans(&toks);
-        assert_eq!(spans.len(), 1);
-        let (s, e) = spans[0];
-        let in_span = |name: &str| {
-            toks.iter()
-                .enumerate()
-                .any(|(k, t)| t.tok == Tok::Ident(name.into()) && k >= s && k <= e)
-        };
-        assert!(in_span("d"));
-        assert!(!in_span("b"));
-        assert!(!in_span("e"));
-    }
-
-    #[test]
-    fn test_attr_on_fn_is_excluded() {
-        let src = "#[test]\nfn t() { boom(); }\nfn keep() {}";
-        let toks = lex(src);
-        let spans = test_spans(&toks);
-        assert_eq!(spans.len(), 1);
-        let keep_idx = toks
-            .iter()
-            .position(|t| t.tok == Tok::Ident("keep".into()))
-            .unwrap();
-        assert!(keep_idx > spans[0].1);
     }
 }

@@ -6,15 +6,20 @@
 //! `sgx-sim`/`mem-sim` (runtime invariant checks); this crate is the
 //! static half, run as `cargo run -p audit -- --check --json` in CI.
 //!
-//! Two analysis layers share one scan:
+//! Every scanned file is parsed once ([`parser`]) into a
+//! [`passes::Workspace`], and two analysis layers read it:
 //!
-//! * **Token rules** ([`rules`]) — flat-lexer pattern checks (cost
-//!   literals, wall-clock reads, counter casts, unwrap, fs writes).
-//! * **Semantic passes** ([`passes`]) — a recursive-descent item parse
-//!   ([`parser`]) plus a workspace call graph ([`callgraph`]) feed four
-//!   reachability-aware passes: determinism (`hash-iter`), cycle
-//!   conservation (`cycle-routing`), hot-path purity (`hot-path`), and
-//!   phase-span balance (`phase-balance`).
+//! * **Token rule** ([`rules`]) — `cost-literals`: a canonical cycle
+//!   cost restated as an integer literal outside `sgx-sim::costs`.
+//! * **Semantic passes** ([`passes`]) — a workspace call graph
+//!   ([`callgraph`]) over the parsed items feeds four reachability-aware
+//!   passes: determinism (`hash-iter`), cycle conservation
+//!   (`cycle-routing`), hot-path purity (`hot-path`), and phase-span
+//!   balance (`phase-balance`).
+//!
+//! The lexical bans on wall-clock reads, `unwrap`/`expect`, direct
+//! `std::fs` use and truncating casts are clippy lints, not rules of
+//! this crate: see DESIGN.md §8.1.
 //!
 //! Three suppression planes, each with stale-entry detection:
 //!
@@ -124,31 +129,40 @@ pub struct Allowlist {
 }
 
 impl Allowlist {
-    /// Loads `<rule>.allow` files from `dir`. Missing files mean an
-    /// empty allowlist for that rule; unreadable ones are an error.
+    /// Loads the `<rule>.allow` files in `dir`. A missing directory or
+    /// file means an empty allowlist for that rule; an unreadable file,
+    /// or a `.allow` file whose stem names no rule in
+    /// [`rules::ALL_RULES`] (say, one left behind by a retired rule), is
+    /// an error.
     pub fn load(dir: &Path) -> Result<Allowlist, String> {
         let mut entries = Vec::new();
-        for rule in rules::ALL_RULES {
-            let path = dir.join(format!("{rule}.allow"));
-            if !path.exists() {
-                continue;
+        if !dir.exists() {
+            return Ok(Allowlist { entries });
+        }
+        let listing =
+            fs::read_dir(dir).map_err(|e| format!("reading dir {}: {e}", dir.display()))?;
+        let mut files = Vec::new();
+        for entry in listing {
+            let path = entry
+                .map_err(|e| format!("reading dir {}: {e}", dir.display()))?
+                .path();
+            if path.extension().is_some_and(|x| x == "allow") {
+                files.push(path);
             }
+        }
+        files.sort();
+        for path in files {
+            let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+            let Some(rule) = rules::ALL_RULES.iter().find(|r| **r == stem) else {
+                return Err(format!(
+                    "{}: `{stem}` is not a gauge-audit rule (rules: {})",
+                    path.display(),
+                    rules::ALL_RULES.join(", ")
+                ));
+            };
             let text = fs::read_to_string(&path)
                 .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            for line in text.lines() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let mut parts = line.split_whitespace();
-                let path_suffix = parts.next().unwrap_or_default().to_string();
-                let substring = parts.collect::<Vec<_>>().join(" ");
-                entries.push(AllowEntry {
-                    rule: rule.to_string(),
-                    path_suffix,
-                    substring,
-                });
-            }
+            entries.extend(Self::from_str_for_rule(rule, &text).entries);
         }
         Ok(Allowlist { entries })
     }
@@ -278,9 +292,10 @@ pub fn load_context(root: &Path) -> Result<RuleContext, String> {
     Ok(ctx)
 }
 
-/// Scans in-memory `(rel_path, source)` pairs with every token rule and
-/// semantic pass, then applies `allow` and `baseline` with stale-entry
-/// tracking. This is the testable core of [`scan_workspace`].
+/// Scans in-memory `(rel_path, source)` pairs with the `cost-literals`
+/// rule and every semantic pass, then applies `allow` and `baseline`
+/// with stale-entry tracking. This is the testable core of
+/// [`scan_workspace`].
 pub fn scan_sources(
     sources: &[(String, String)],
     ctx: &RuleContext,
@@ -288,11 +303,13 @@ pub fn scan_sources(
     baseline: &Baseline,
     manifest: &CycleManifest,
 ) -> ScanReport {
-    let mut raw = Vec::new();
-    for (rel, src) in sources {
-        raw.extend(rules::check_source(rel, src, ctx));
-    }
     let ws = passes::Workspace::build(sources);
+    let mut raw: Vec<Finding> = ws
+        .files
+        .iter()
+        .chain(&ws.others)
+        .flat_map(|f| rules::cost_literals(f, ctx))
+        .collect();
     raw.extend(ws.run_passes(ctx, manifest));
     raw.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule, a.message.as_str()).cmp(&(
@@ -526,15 +543,15 @@ mod tests {
     fn exit_code_reflects_findings_and_staleness() {
         let mut r = ScanReport::default();
         assert_eq!(exit_code(&r, false), 0);
-        r.stale_allow.push("unwrap x.rs".into());
+        r.stale_allow.push("cost-literals x.rs".into());
         assert_eq!(exit_code(&r, false), 0, "stale allowlist only warns");
         assert_eq!(exit_code(&r, true), 1, "--strict promotes it");
         r.stale_allow.clear();
-        r.stale_baseline.push("unwrap x.rs".into());
+        r.stale_baseline.push("cost-literals x.rs".into());
         assert_eq!(exit_code(&r, false), 1, "stale baseline always fails");
         r.stale_baseline.clear();
         r.findings.push(Finding {
-            rule: rules::UNWRAP,
+            rule: rules::COST_LITERALS,
             file: "x.rs".into(),
             line: 1,
             message: "m".into(),
@@ -545,20 +562,41 @@ mod tests {
     #[test]
     fn allowlist_matches_suffix_and_substring() {
         let allow = Allowlist::from_str_for_rule(
-            rules::UNWRAP,
-            "# comment\ncrates/libos-sim/src/shim.rs pf_seal\n",
+            rules::COST_LITERALS,
+            "# comment\ncrates/mem-sim/src/latency.rs literal 1800\n",
         );
         let mut f = Finding {
-            rule: rules::UNWRAP,
-            file: "crates/libos-sim/src/shim.rs".into(),
-            line: 192,
-            message: ".expect(\"pf_seal without protected files\") in non-test code".into(),
+            rule: rules::COST_LITERALS,
+            file: "crates/mem-sim/src/latency.rs".into(),
+            line: 42,
+            message: "cycle-cost literal 1800 duplicates sgx_sim::costs::HOST_SYSCALL_CYCLES"
+                .into(),
         };
         assert!(allow.permits(&f));
-        f.message = ".expect(\"pf_open ...\")".into();
+        f.message = "cycle-cost literal 12000 duplicates sgx_sim::costs::EWB_CYCLES".into();
         assert!(!allow.permits(&f), "substring must match");
+        f.message = "cycle-cost literal 1800 duplicates sgx_sim::costs::HOST_SYSCALL_CYCLES".into();
         f.file = "crates/sgx-sim/src/machine.rs".into();
         assert!(!allow.permits(&f), "path suffix must match");
+    }
+
+    #[test]
+    fn allowlist_load_rejects_files_of_unknown_rules() {
+        let dir = std::env::temp_dir().join(format!("gauge-audit-allow-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(
+            dir.join("cost-literals.allow"),
+            "# reason\ncrates/mem-sim/src/latency.rs literal 1800\n",
+        )
+        .unwrap();
+        let allow = Allowlist::load(&dir).expect("known rule loads");
+        assert_eq!(allow.entries.len(), 1);
+        assert_eq!(allow.entries[0].rule, rules::COST_LITERALS);
+        fs::write(dir.join("wallclock.allow"), "# retired rule\n").unwrap();
+        let err = Allowlist::load(&dir).expect_err("unknown rule file must fail");
+        fs::remove_dir_all(&dir).ok();
+        assert!(err.contains("wallclock.allow"), "{err}");
+        assert!(Allowlist::load(&dir).is_ok(), "a missing dir is empty");
     }
 
     #[test]
@@ -569,10 +607,10 @@ mod tests {
         );
         let sources = vec![(
             "crates/sgx-sim/src/x.rs".to_string(),
-            "fn f(v: &Option<u32>) -> u32 { v.unwrap() }".to_string(),
+            "fn f() -> u64 { 12_000 }".to_string(),
         )];
         let baseline = Baseline::from_str(
-            "unwrap crates/sgx-sim/src/x.rs\nunwrap crates/sgx-sim/src/gone.rs\n",
+            "cost-literals crates/sgx-sim/src/x.rs\ncost-literals crates/sgx-sim/src/gone.rs\n",
         );
         let r = scan_sources(
             &sources,
@@ -583,8 +621,11 @@ mod tests {
         );
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.baselined, 1);
-        assert_eq!(r.suppressed_by_rule.get("unwrap"), Some(&1));
-        assert_eq!(r.stale_baseline, vec!["unwrap crates/sgx-sim/src/gone.rs"]);
+        assert_eq!(r.suppressed_by_rule.get("cost-literals"), Some(&1));
+        assert_eq!(
+            r.stale_baseline,
+            vec!["cost-literals crates/sgx-sim/src/gone.rs"]
+        );
         assert_eq!(exit_code(&r, false), 1, "stale baseline entry fails");
     }
 
@@ -598,7 +639,8 @@ mod tests {
             "crates/core/src/clean.rs".to_string(),
             "pub fn ok() -> u32 { 3 }".to_string(),
         )];
-        let allow = Allowlist::from_str_for_rule(rules::UNWRAP, "crates/core/src/clean.rs\n");
+        let allow =
+            Allowlist::from_str_for_rule(rules::COST_LITERALS, "crates/core/src/clean.rs\n");
         let r = scan_sources(
             &sources,
             &ctx,
@@ -606,7 +648,10 @@ mod tests {
             &Baseline::default(),
             &CycleManifest::default(),
         );
-        assert_eq!(r.stale_allow, vec!["unwrap crates/core/src/clean.rs"]);
+        assert_eq!(
+            r.stale_allow,
+            vec!["cost-literals crates/core/src/clean.rs"]
+        );
         assert_eq!(exit_code(&r, false), 0);
         assert_eq!(exit_code(&r, true), 1);
     }
@@ -617,7 +662,7 @@ mod tests {
             files_checked: 2,
             ..ScanReport::default()
         };
-        r.suppressed_by_rule.insert("unwrap".into(), 3);
+        r.suppressed_by_rule.insert("cost-literals".into(), 3);
         r.findings.push(Finding {
             rule: rules::HASH_ITER,
             file: "crates/core/src/report.rs".into(),
@@ -630,7 +675,7 @@ mod tests {
         assert!(j.contains("\"ruleId\": \"hash-iter\""));
         assert!(j.contains("\"startLine\": 7"));
         assert!(j.contains("\"suppressedByRule\""));
-        assert!(j.contains("\"unwrap\": 3"));
+        assert!(j.contains("\"cost-literals\": 3"));
         // Every registered rule appears in the driver rule table.
         for rule in rules::ALL_RULES {
             assert!(j.contains(&format!("\"id\": \"{rule}\"")), "{rule} missing");

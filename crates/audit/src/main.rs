@@ -29,6 +29,10 @@ usage: gauge-audit [--check] [--json] [--strict] [--root DIR] [--explain RULE]
   --root DIR      workspace root (default: discovered from cwd)
   --explain RULE  print what a rule enforces, why, and how to suppress
 
+The wall-clock, unwrap, std::fs and truncating-cast bans are clippy
+lints (crates/clippy.toml and crate-root attributes; DESIGN.md §8.1),
+run by `cargo clippy --workspace --all-targets -- -D warnings`.
+
 exit codes:
   0  clean (or --check not given)
   1  violations survived the allowlists/baseline, or the baseline has

@@ -655,6 +655,43 @@ mod tests {
     }
 
     #[test]
+    fn cfg_test_mod_span_covers_body() {
+        let ir = FileIr::parse(
+            "x.rs",
+            "fn a() { b(); }\n#[cfg(test)]\nmod tests { fn c() { d(); } }\nfn e() {}",
+        );
+        let in_test = |name: &str| {
+            let i = ir
+                .tokens
+                .iter()
+                .position(|t| t.tok == Tok::Ident(name.into()))
+                .unwrap();
+            ir.in_test(i)
+        };
+        assert!(in_test("d"));
+        assert!(!in_test("b"));
+        assert!(!in_test("e"));
+    }
+
+    #[test]
+    fn test_attr_on_fn_is_excluded_but_cfg_not_test_is_not() {
+        let ir = FileIr::parse(
+            "x.rs",
+            "#[test]\nfn t() { boom(); }\n#[cfg(not(test))]\nfn keep() { live(); }",
+        );
+        let idx = |name: &str| {
+            ir.tokens
+                .iter()
+                .position(|t| t.tok == Tok::Ident(name.into()))
+                .unwrap()
+        };
+        assert!(ir.in_test(idx("boom")));
+        assert!(ir.fns[0].in_test);
+        assert!(!ir.in_test(idx("live")));
+        assert!(!ir.fns[1].in_test);
+    }
+
+    #[test]
     fn fn_at_picks_innermost() {
         let ir = FileIr::parse("x.rs", "fn outer() { fn inner() { x(); } }");
         let x_idx = ir

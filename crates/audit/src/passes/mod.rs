@@ -15,8 +15,8 @@
 //! The passes share one [`Workspace`]: every scanned file parsed to
 //! [`FileIr`] plus the [`CallGraph`] built over them. They run on *raw*
 //! sources (test-gated spans are skipped internally); the caller applies
-//! allowlists and the baseline afterwards, exactly as for the token
-//! rules.
+//! allowlists and the baseline afterwards, exactly as for the
+//! `cost-literals` token rule, which reads the same parsed files.
 
 pub mod cycles;
 pub mod determinism;
@@ -29,27 +29,37 @@ use crate::parser::FileIr;
 use crate::rules::RuleContext;
 use crate::Finding;
 
-/// The parsed workspace the semantic passes analyze.
+/// The parsed workspace: every scanned file, parsed once. The semantic
+/// passes analyze [`Workspace::files`]; the `cost-literals` rule reads
+/// those and [`Workspace::others`].
 #[derive(Debug)]
 pub struct Workspace {
-    /// Parsed files, in the order given.
+    /// Parsed library/binary sources ([`semantic_scope`]), in the order
+    /// given; the call graph's node ids index into this list.
     pub files: Vec<FileIr>,
-    /// The call graph over them.
+    /// Every other parsed source (tests, benches, examples, ...), in
+    /// the order given.
+    pub others: Vec<FileIr>,
+    /// The call graph over [`Workspace::files`].
     pub graph: CallGraph,
 }
 
 impl Workspace {
     /// Parses `(rel_path, source)` pairs and builds the call graph.
-    /// Only `.rs` files under a `src/` tree participate (tests, benches
-    /// and fixtures describe behavior, not the shipped model).
+    /// Only `.rs` files under a `src/` tree participate in the graph
+    /// (tests, benches and fixtures describe behavior, not the shipped
+    /// model).
     pub fn build(sources: &[(String, String)]) -> Workspace {
-        let files: Vec<FileIr> = sources
+        let (files, others): (Vec<FileIr>, Vec<FileIr>) = sources
             .iter()
-            .filter(|(rel, _)| semantic_scope(rel))
             .map(|(rel, src)| FileIr::parse(rel, src))
-            .collect();
+            .partition(|f| semantic_scope(&f.path));
         let graph = CallGraph::build(&files);
-        Workspace { files, graph }
+        Workspace {
+            files,
+            others,
+            graph,
+        }
     }
 
     /// Runs all four semantic passes, returning raw findings in pass

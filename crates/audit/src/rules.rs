@@ -1,43 +1,25 @@
-//! The lint rules `gauge-audit` enforces, and the model-derived context
-//! (canonical cost values, counter field names) they check against.
+//! The rule registry `gauge-audit` enforces, the one token rule, and
+//! the model-derived context (canonical cost values, counter field
+//! names) the rules check against.
 //!
-//! Each rule guards one way the simulator has been observed to drift from
-//! the paper it reproduces:
+//! [`COST_LITERALS`] is the only rule that reads tokens without the call
+//! graph: a cycle cost restated as a literal outside `sgx-sim::costs`
+//! silently decouples from recalibration (§2.2, §2.3, Appendix A all
+//! cite exact costs). It runs on the same parsed [`FileIr`] as the four
+//! semantic passes ([`crate::passes`]).
 //!
-//! * [`COST_LITERALS`] — a cycle cost restated as a literal outside
-//!   `sgx-sim::costs` silently decouples from recalibration (§2.2, §2.3,
-//!   Appendix A all cite exact costs).
-//! * [`WALLCLOCK`] — the simulator is a cycle-accurate *model*; reading
-//!   the host clock (`std::time`, `Instant::now`) inside it makes runs
-//!   non-reproducible and corrupts every figure built from cycle counts.
-//! * [`COUNTER_CAST`] — the perf-counter fields are `u64` event totals;
-//!   a truncating `as` cast or float accumulation loses counts exactly
-//!   when workloads are large enough to matter.
-//! * [`UNWRAP`] — simulator code must surface errors as values;
-//!   `unwrap`/`expect` in non-test code turns modeling bugs into aborts
-//!   mid-sweep. Justified panics go in the allowlist with a reason.
-//! * [`FS_WRITE`] — artifact writes in `crates/core` must go through the
-//!   injectable `ArtifactIo` plane (`core::io`); a direct `std::fs`
-//!   call bypasses durability (fsync + rename), integrity footers, the
-//!   recovery journal, and chaos testing all at once.
+//! Four lexical bans (wall clock, `unwrap`, `std::fs`, truncating casts)
+//! are clippy lints instead (DESIGN.md §8.1): clippy runs with
+//! `-D warnings`, and a stale `#[expect]` is a compile error.
 
 use crate::lexer::Tok;
-use crate::lexer::{test_spans, Token};
+use crate::parser::FileIr;
 use crate::Finding;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 /// Rule id: duplicated canonical cycle-cost literals.
 pub const COST_LITERALS: &str = "cost-literals";
-/// Rule id: wall-clock time sources inside the simulator.
-pub const WALLCLOCK: &str = "wallclock";
-/// Rule id: truncating casts on counter fields.
-pub const COUNTER_CAST: &str = "counter-cast";
-/// Rule id: `unwrap`/`expect` in non-test simulator code.
-pub const UNWRAP: &str = "unwrap";
-/// Rule id: direct `std::fs` use in `crates/core` outside the
-/// `ArtifactIo` real backend.
-pub const FS_WRITE: &str = "fs-write";
 /// Rule id (semantic): hash-ordered iteration in emission-reachable
 /// functions. See [`crate::passes::determinism`].
 pub const HASH_ITER: &str = "hash-iter";
@@ -51,14 +33,10 @@ pub const HOT_PATH: &str = "hot-path";
 /// See [`crate::passes::phase`].
 pub const PHASE_BALANCE: &str = "phase-balance";
 
-/// All rule ids, in reporting order: the five token rules, then the
-/// four semantic passes.
+/// All rule ids, in reporting order: the token rule, then the four
+/// semantic passes.
 pub const ALL_RULES: &[&str] = &[
     COST_LITERALS,
-    WALLCLOCK,
-    COUNTER_CAST,
-    UNWRAP,
-    FS_WRITE,
     HASH_ITER,
     CYCLE_ROUTING,
     HOT_PATH,
@@ -88,37 +66,6 @@ integer literal outside crates/sgx-sim/src/costs.rs. Duplicated constants silent
 from recalibration: the model changes, the copy does not, and every figure built from the \
 copy is wrong without a test failing.\nFix: reference the sgx_sim::costs constant. \
 Suppress: crates/audit/allowlists/cost-literals.allow with a recorded reason.",
-    },
-    RuleInfo {
-        id: WALLCLOCK,
-        summary: "wall-clock time source inside simulator code",
-        explain: "std::time / Instant / SystemTime in the simulator, fault, trace, sweep, or \
-artifact-io planes. The model is deterministic in simulated cycles; host-clock reads make \
-runs non-reproducible and corrupt cycle-derived figures.\nFix: derive timing from simulated \
-cycle clocks. Suppress: allowlists/wallclock.allow (intentionally empty today).",
-    },
-    RuleInfo {
-        id: COUNTER_CAST,
-        summary: "perf-counter field cast to a narrower or floating type",
-        explain: "A mem_sim::counters field is cast with `as` to a truncating integer or \
-float inside the simulator crates. Counters are u64 event totals; narrowing loses events \
-exactly when workloads are large enough to matter.\nFix: keep u64 end to end; convert at \
-the presentation layer. Suppress: allowlists/counter-cast.allow.",
-    },
-    RuleInfo {
-        id: UNWRAP,
-        summary: ".unwrap()/.expect() in non-test simulator code",
-        explain: "Simulator code must surface errors as values; a panic aborts the whole \
-sweep mid-run. Justified panics (documented API contracts, unreachable-by-construction) \
-go in allowlists/unwrap.allow with the reason recorded.",
-    },
-    RuleInfo {
-        id: FS_WRITE,
-        summary: "direct std::fs access in crates/core outside core::io",
-        explain: "Artifact writes in crates/core must go through the injectable ArtifactIo \
-plane (core::io::RealFs is the single std::fs user). A direct std::fs call bypasses \
-durability (fsync + atomic rename), integrity footers, the recovery journal, and chaos \
-testing at once.\nFix: route through core::io. Suppress: allowlists/fs-write.allow.",
     },
     RuleInfo {
         id: HASH_ITER,
@@ -175,33 +122,6 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 /// (e.g. the 16-page eviction batch); only the big cycle costs are.
 const MIN_CANONICAL_COST: u64 = 500;
 
-/// Cast targets that can truncate or round a `u64` counter.
-const NARROWING_CASTS: &[&str] = &[
-    "u8", "u16", "u32", "i8", "i16", "i32", "i64", "isize", "usize", "f32", "f64",
-];
-
-/// Crates whose `src/` trees count as simulator code (rules b–d).
-const SIM_SRC: &[&str] = &[
-    "crates/sgx-sim/src/",
-    "crates/mem-sim/src/",
-    "crates/libos-sim/src/",
-];
-
-/// `std::fs` free functions that land bytes on (or remove them from)
-/// disk; in `crates/core` these must be reached through `ArtifactIo`.
-const FS_OPS: &[&str] = &[
-    "write",
-    "read",
-    "read_to_string",
-    "read_dir",
-    "rename",
-    "copy",
-    "remove_file",
-    "remove_dir_all",
-    "create_dir",
-    "create_dir_all",
-];
-
 /// Model-derived context shared by all rules.
 #[derive(Debug, Clone, Default)]
 pub struct RuleContext {
@@ -209,7 +129,8 @@ pub struct RuleContext {
     /// `sgx-sim::costs` (the single source of truth; this tool never
     /// hard-codes the values themselves).
     pub cost_values: BTreeMap<u64, String>,
-    /// Counter field names extracted from `mem-sim::counters`.
+    /// Counter field names extracted from `mem-sim::counters`: the
+    /// counters whose `+=` the `cycle-routing` pass checks.
     pub counter_fields: BTreeSet<String>,
 }
 
@@ -267,213 +188,34 @@ pub fn extract_counter_fields(src: &str) -> BTreeSet<String> {
     out
 }
 
-/// Runs every rule whose scope covers `rel` (workspace-relative path with
-/// `/` separators) over `src`, returning the raw findings (allowlists are
-/// applied by the caller).
-pub fn check_source(rel: &str, src: &str, ctx: &RuleContext) -> Vec<Finding> {
-    let toks = crate::lexer::lex(src);
-    let spans = test_spans(&toks);
-    let in_test = |idx: usize| spans.iter().any(|&(s, e)| idx >= s && idx <= e);
-    let mut findings = Vec::new();
-
-    if cost_literal_scope(rel) {
-        for (idx, t) in toks.iter().enumerate() {
-            if in_test(idx) {
-                continue;
-            }
-            if let Tok::Int(v) = t.tok {
-                if let Some(name) = ctx.cost_values.get(&v) {
-                    findings.push(Finding {
-                        rule: COST_LITERALS,
-                        file: rel.to_string(),
-                        line: t.line,
-                        message: format!(
-                            "cycle-cost literal {v} duplicates sgx_sim::costs::{name}; \
-                             use the constant"
-                        ),
-                    });
-                }
-            }
-        }
+/// Runs [`COST_LITERALS`] over one parsed file: every integer literal
+/// outside test-gated code that equals a canonical cost, unless the file
+/// is out of the rule's scope.
+pub fn cost_literals(file: &FileIr, ctx: &RuleContext) -> Vec<Finding> {
+    if !cost_literal_scope(&file.path) {
+        return Vec::new();
     }
-
-    if wallclock_scope(rel) {
-        for (idx, t) in toks.iter().enumerate() {
-            if in_test(idx) {
-                continue;
-            }
-            if let Tok::Ident(s) = &t.tok {
-                let banned = match s.as_str() {
-                    "Instant" | "SystemTime" => true,
-                    "std" => is_path(&toks, idx, &["std", "time"]),
-                    _ => false,
-                };
-                if banned {
-                    findings.push(Finding {
-                        rule: WALLCLOCK,
-                        file: rel.to_string(),
-                        line: t.line,
-                        message: format!(
-                            "wall-clock time source `{s}` in simulator code; \
-                             the model must be deterministic in simulated cycles"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    if fs_write_scope(rel) {
-        for (idx, t) in toks.iter().enumerate() {
-            if in_test(idx) {
-                continue;
-            }
-            if let Tok::Ident(s) = &t.tok {
-                let banned = match s.as_str() {
-                    "File" | "OpenOptions" => true,
-                    "fs" => FS_OPS.iter().any(|op| is_path(&toks, idx, &["fs", op])),
-                    _ => false,
-                };
-                if banned {
-                    findings.push(Finding {
-                        rule: FS_WRITE,
-                        file: rel.to_string(),
-                        line: t.line,
-                        message: format!(
-                            "direct filesystem access `{s}` outside the ArtifactIo \
-                             real backend; route artifact I/O through core::io"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    if sim_src_scope(rel) {
-        for (idx, w) in toks.windows(4).enumerate() {
-            if in_test(idx) {
-                continue;
-            }
-            if let [dot, field, as_kw, ty] = w {
-                if dot.tok == Tok::Punct('.') && as_kw.tok == Tok::Ident("as".into()) {
-                    if let (Tok::Ident(f), Tok::Ident(t)) = (&field.tok, &ty.tok) {
-                        if ctx.counter_fields.contains(f) && NARROWING_CASTS.contains(&t.as_str()) {
-                            findings.push(Finding {
-                                rule: COUNTER_CAST,
-                                file: rel.to_string(),
-                                line: dot.line,
-                                message: format!(
-                                    "counter field `{f}` cast to `{t}` can lose events; \
-                                     keep counters in u64"
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    if unwrap_scope(rel) {
-        for (idx, w) in toks.windows(3).enumerate() {
-            if in_test(idx) {
-                continue;
-            }
-            if let [dot, call, paren] = w {
-                if dot.tok == Tok::Punct('.') && paren.tok == Tok::Punct('(') {
-                    if let Tok::Ident(name) = &call.tok {
-                        if name == "unwrap" || name == "expect" {
-                            let arg = match toks.get(idx + 3).map(|t| &t.tok) {
-                                Some(Tok::Str(s)) => format!("(\"{s}\")"),
-                                _ => "()".to_string(),
-                            };
-                            findings.push(Finding {
-                                rule: UNWRAP,
-                                file: rel.to_string(),
-                                line: dot.line,
-                                message: format!(
-                                    ".{name}{arg} in non-test simulator code; \
-                                     return an error instead (or allowlist with a reason)"
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    findings
+    file.tokens
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !file.in_test(i))
+        .filter_map(|(_, t)| match t.tok {
+            Tok::Int(v) => ctx.cost_values.get(&v).map(|name| Finding {
+                rule: COST_LITERALS,
+                file: file.path.clone(),
+                line: t.line,
+                message: format!(
+                    "cycle-cost literal {v} duplicates sgx_sim::costs::{name}; use the constant"
+                ),
+            }),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Whether `rel` is checked for duplicated cost literals: the whole
 /// workspace minus the canonical module itself and test trees (vendored
-/// stubs and build output never reach this function).
+/// stubs and build output are never scanned).
 fn cost_literal_scope(rel: &str) -> bool {
     rel != "crates/sgx-sim/src/costs.rs" && !rel.starts_with("tests/") && !rel.contains("/tests/")
-}
-
-/// Whether `rel` is simulator code banned from reading wall-clock time:
-/// the simulator crates, the fault-injection plane (its schedules and
-/// backoff must be pure simulated cycles), the trace plane (records are
-/// keyed on simulated thread clocks; a wall-clock stamp would break
-/// byte-determinism across runs and `--jobs`), and the sweep executor
-/// (which aggregates their cycle outputs). The cross-enclave relay is
-/// in scope too: its delivery queue, failure detector, and fault
-/// schedules are all keyed on simulated cycles.
-fn wallclock_scope(rel: &str) -> bool {
-    sim_src_scope(rel)
-        || rel.starts_with("crates/faults/src/")
-        || rel.starts_with("crates/trace/src/")
-        || rel.starts_with("crates/campaign/src/")
-        || rel.starts_with("crates/relay/src/")
-        || rel == "crates/core/src/sweep.rs"
-        || rel == "crates/core/src/io.rs"
-}
-
-/// Whether `rel` must surface errors as values rather than panic: the
-/// simulator crates plus the artifact I/O plane, whose failures are the
-/// whole point of the crash-safety model — aborting on them would turn
-/// every injected fault into a harness crash.
-fn unwrap_scope(rel: &str) -> bool {
-    sim_src_scope(rel)
-        || rel.starts_with("crates/campaign/src/")
-        || rel.starts_with("crates/relay/src/")
-        || rel == "crates/core/src/io.rs"
-}
-
-/// Whether `rel` is banned from direct `std::fs` access: everything in
-/// `crates/core/src/` except the `ArtifactIo` real backend itself, plus
-/// the whole campaign layer (which must route every byte through the
-/// injectable artifact plane for the soak-kill story to hold).
-fn fs_write_scope(rel: &str) -> bool {
-    (rel.starts_with("crates/core/src/") && rel != "crates/core/src/io.rs")
-        || rel.starts_with("crates/campaign/src/")
-        || rel.starts_with("crates/relay/src/")
-}
-
-/// Whether `rel` lies in one of the simulator crates' `src/` trees.
-fn sim_src_scope(rel: &str) -> bool {
-    SIM_SRC.iter().any(|p| rel.starts_with(p))
-}
-
-/// Whether the identifier at `idx` begins the `::`-separated path
-/// `segments` (e.g. `std::time`).
-fn is_path(toks: &[Token], idx: usize, segments: &[&str]) -> bool {
-    let mut k = idx;
-    for (n, seg) in segments.iter().enumerate() {
-        if toks.get(k).map(|t| &t.tok) != Some(&Tok::Ident(seg.to_string())) {
-            return false;
-        }
-        k += 1;
-        if n + 1 < segments.len() {
-            if toks.get(k).map(|t| &t.tok) != Some(&Tok::Punct(':'))
-                || toks.get(k + 1).map(|t| &t.tok) != Some(&Tok::Punct(':'))
-            {
-                return false;
-            }
-            k += 2;
-        }
-    }
-    true
 }

@@ -1,9 +1,10 @@
-//! Fixture tests: each rule must fire on a seeded violation (driving a
-//! nonzero `--check` exit code) and stay quiet on the equivalent clean
-//! or test-gated code.
+//! Fixture tests for the `cost-literals` token rule: it must fire on a
+//! seeded violation (driving a nonzero `--check` exit code) and stay
+//! quiet on the equivalent clean or test-gated code.
 
+use audit::parser::FileIr;
 use audit::rules::{self, RuleContext};
-use audit::{exit_code, Allowlist, ScanReport};
+use audit::{exit_code, Allowlist, Finding, ScanReport};
 
 /// A miniature canonical costs module, standing in for sgx-sim::costs.
 const COSTS: &str = r#"
@@ -31,6 +32,11 @@ fn ctx() -> RuleContext {
     RuleContext::from_sources(COSTS, COUNTERS)
 }
 
+/// Runs the rule over `src` parsed as the workspace file `rel`.
+fn check(rel: &str, src: &str) -> Vec<Finding> {
+    rules::cost_literals(&FileIr::parse(rel, src), &ctx())
+}
+
 #[test]
 fn context_extracts_canonical_values_and_fields() {
     let c = ctx();
@@ -54,7 +60,7 @@ fn context_extracts_canonical_values_and_fields() {
 #[test]
 fn seeded_cost_literal_is_caught_and_drives_nonzero_exit() {
     let src = "fn f() -> u64 { 12_000 }";
-    let findings = rules::check_source("crates/core/src/env.rs", src, &ctx());
+    let findings = check("crates/core/src/env.rs", src);
     assert_eq!(findings.len(), 1);
     assert_eq!(findings[0].rule, rules::COST_LITERALS);
     assert!(findings[0].message.contains("EWB_CYCLES"));
@@ -77,189 +83,27 @@ mod tests {
     fn t() { assert_eq!(super::g(), 12_000); }
 }
 "#;
-    assert!(rules::check_source("crates/core/src/env.rs", src, &ctx()).is_empty());
+    assert!(check("crates/core/src/env.rs", src).is_empty());
 }
 
 #[test]
 fn cost_literal_in_canonical_module_or_tests_dir_is_fine() {
     let src = "pub const EWB_CYCLES: u64 = 12_000;";
-    assert!(rules::check_source("crates/sgx-sim/src/costs.rs", src, &ctx()).is_empty());
-    assert!(rules::check_source("tests/counters_consistency.rs", src, &ctx()).is_empty());
-    assert!(rules::check_source("crates/sgx-sim/tests/properties.rs", src, &ctx()).is_empty());
-}
-
-#[test]
-fn seeded_wallclock_read_is_caught_in_sim_crates_only() {
-    let src = "use std::time::Instant;\nfn f() { let _ = Instant::now(); }";
-    let findings = rules::check_source("crates/sgx-sim/src/machine.rs", src, &ctx());
-    assert!(findings.iter().any(|f| f.rule == rules::WALLCLOCK));
-    // The bench harness may legitimately time wall-clock.
-    assert!(rules::check_source("crates/bench/src/lib.rs", src, &ctx())
-        .iter()
-        .all(|f| f.rule != rules::WALLCLOCK));
-    // The sweep executor is in scope.
-    assert!(rules::check_source("crates/core/src/sweep.rs", src, &ctx())
-        .iter()
-        .any(|f| f.rule == rules::WALLCLOCK));
-    // The fault-injection plane schedules in simulated cycles only.
-    assert!(
-        rules::check_source("crates/faults/src/hook.rs", src, &ctx())
-            .iter()
-            .any(|f| f.rule == rules::WALLCLOCK)
-    );
-    // The co-tenant host scheduler interleaves in simulated cycles; a
-    // wall-clock read there would break the `--jobs` byte-identity.
-    assert!(
-        rules::check_source("crates/sgx-sim/src/host.rs", src, &ctx())
-            .iter()
-            .any(|f| f.rule == rules::WALLCLOCK)
-    );
-    // Checkpoint IO is host-side harness code, out of scope.
-    assert!(
-        rules::check_source("crates/core/src/checkpoint.rs", src, &ctx())
-            .iter()
-            .all(|f| f.rule != rules::WALLCLOCK)
-    );
-}
-
-/// The cross-enclave relay is simulation-time code on all three axes: a
-/// wall-clock read, a panic path, or a direct filesystem write in
-/// `crates/relay/src` must each be caught.
-#[test]
-fn relay_sources_are_in_wallclock_unwrap_and_fs_scopes() {
-    let clock = "use std::time::Instant;\nfn f() { let _ = Instant::now(); }";
-    assert!(
-        rules::check_source("crates/relay/src/net.rs", clock, &ctx())
-            .iter()
-            .any(|f| f.rule == rules::WALLCLOCK),
-        "the delivery queue must stay on simulated cycles"
-    );
-    let panicky = "fn f(x: Option<u64>) -> u64 { x.unwrap() }";
-    assert!(
-        rules::check_source("crates/relay/src/mpc.rs", panicky, &ctx())
-            .iter()
-            .any(|f| f.rule == rules::UNWRAP),
-        "quorum loss must be a value, not a panic"
-    );
-    let fs = "fn f() { std::fs::write(\"x\", \"y\").ok(); }";
-    assert!(
-        rules::check_source("crates/relay/src/detector.rs", fs, &ctx())
-            .iter()
-            .any(|f| f.rule == rules::FS_WRITE),
-        "relay artifacts must go through ArtifactIo"
-    );
-    // Relay test trees stay free to do all three.
-    for bad in [clock, panicky, fs] {
-        assert!(rules::check_source("crates/relay/tests/x.rs", bad, &ctx()).is_empty());
-    }
-}
-
-#[test]
-fn seeded_counter_cast_is_caught() {
-    let src = "fn f(c: &Counters) -> u32 { c.walk_cycles as u32 }";
-    let findings = rules::check_source("crates/mem-sim/src/report.rs", src, &ctx());
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].rule, rules::COUNTER_CAST);
-    // Widening to u128 and float math outside the sim crates are fine.
-    let ok = "fn f(c: &Counters) -> u128 { c.walk_cycles as u128 }";
-    assert!(rules::check_source("crates/mem-sim/src/report.rs", ok, &ctx()).is_empty());
-    assert!(rules::check_source("crates/gauge-stats/src/lib.rs", src, &ctx()).is_empty());
-}
-
-#[test]
-fn seeded_unwrap_and_expect_are_caught_outside_tests() {
-    let src = r#"
-fn f(x: Option<u64>) -> u64 { x.unwrap() }
-fn g(x: Option<u64>) -> u64 { x.expect("msg here") }
-#[cfg(test)]
-mod tests {
-    fn t(x: Option<u64>) -> u64 { x.unwrap() }
-}
-"#;
-    let findings = rules::check_source("crates/libos-sim/src/process.rs", src, &ctx());
-    assert_eq!(findings.len(), 2);
-    assert!(findings.iter().all(|f| f.rule == rules::UNWRAP));
-    assert!(
-        findings.iter().any(|f| f.message.contains("msg here")),
-        "expect message is carried for allowlist matching: {findings:?}"
-    );
-    // unwrap_or / unwrap_or_default are error handling, not panics.
-    let ok = "fn f(x: Option<u64>) -> u64 { x.unwrap_or(0).max(x.unwrap_or_default()) }";
-    assert!(rules::check_source("crates/libos-sim/src/process.rs", ok, &ctx()).is_empty());
-    // The co-tenant host surfaces scheduler errors as `HostError`
-    // values; a panic there would kill a whole multi-tenant run.
-    assert!(
-        rules::check_source("crates/sgx-sim/src/host.rs", src, &ctx())
-            .iter()
-            .any(|f| f.rule == rules::UNWRAP)
-    );
-}
-
-#[test]
-fn seeded_fs_write_is_caught_in_core_outside_the_io_backend() {
-    let src = "fn f() { std::fs::write(\"x\", \"y\").ok(); }";
-    let findings = rules::check_source("crates/core/src/emit.rs", src, &ctx());
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].rule, rules::FS_WRITE);
-    assert!(findings[0].message.contains("ArtifactIo"));
-    // The real backend is the one sanctioned std::fs user.
-    assert!(rules::check_source("crates/core/src/io.rs", src, &ctx()).is_empty());
-    // Other crates (the bench harness, the sim crates) are out of scope.
-    assert!(rules::check_source("crates/bench/src/lib.rs", src, &ctx()).is_empty());
-}
-
-#[test]
-fn fs_write_catches_file_handles_and_ignores_test_code() {
-    let src = r#"
-use std::fs::File;
-fn f() { let _ = File::create("x"); }
-fn g() { let _ = std::fs::OpenOptions::new(); }
-"#;
-    let findings = rules::check_source("crates/core/src/checkpoint.rs", src, &ctx());
-    assert!(findings.iter().all(|f| f.rule == rules::FS_WRITE));
-    assert!(
-        findings.len() >= 3,
-        "import, File::create, and OpenOptions all fire: {findings:?}"
-    );
-    let test_only = r#"
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { std::fs::write("x", "y").ok(); }
-}
-"#;
-    assert!(rules::check_source("crates/core/src/checkpoint.rs", test_only, &ctx()).is_empty());
-}
-
-#[test]
-fn unwrap_and_wallclock_scopes_cover_the_artifact_io_plane() {
-    let unwrap_src = "fn f(x: Option<u64>) -> u64 { x.unwrap() }";
-    assert!(
-        rules::check_source("crates/core/src/io.rs", unwrap_src, &ctx())
-            .iter()
-            .any(|f| f.rule == rules::UNWRAP)
-    );
-    // Poison recovery on the chaos-state mutex is handling, not a panic.
-    let ok = "fn f(m: &Mutex<u64>) -> u64 { *m.lock().unwrap_or_else(|p| p.into_inner()) }";
-    assert!(rules::check_source("crates/core/src/io.rs", ok, &ctx()).is_empty());
-    let clock_src = "fn f() { let _ = Instant::now(); }";
-    assert!(
-        rules::check_source("crates/core/src/io.rs", clock_src, &ctx())
-            .iter()
-            .any(|f| f.rule == rules::WALLCLOCK)
-    );
+    assert!(check("crates/sgx-sim/src/costs.rs", src).is_empty());
+    assert!(check("tests/counters_consistency.rs", src).is_empty());
+    assert!(check("crates/sgx-sim/tests/properties.rs", src).is_empty());
 }
 
 #[test]
 fn allowlist_suppresses_by_path_and_message() {
-    let src = "fn g(x: Option<u64>) -> u64 { x.expect(\"pool is non-empty\") }";
-    let findings = rules::check_source("crates/sgx-sim/src/switchless.rs", src, &ctx());
+    let src = "fn fault_latency() -> u64 { 12_000 }";
+    let findings = check("crates/mem-sim/src/latency.rs", src);
     assert_eq!(findings.len(), 1);
     let allow = Allowlist::from_str_for_rule(
-        rules::UNWRAP,
-        "crates/sgx-sim/src/switchless.rs pool is non-empty",
+        rules::COST_LITERALS,
+        "crates/mem-sim/src/latency.rs literal 12000",
     );
     assert!(allow.permits(&findings[0]));
-    let other = Allowlist::from_str_for_rule(rules::UNWRAP, "switchless.rs some other panic");
+    let other = Allowlist::from_str_for_rule(rules::COST_LITERALS, "latency.rs literal 17000");
     assert!(!other.permits(&findings[0]));
 }

@@ -31,7 +31,7 @@ fn ctx() -> RuleContext {
 }
 
 /// Scans sources with no suppression planes and returns the findings
-/// for `rule` only (the mini fixtures can trip unrelated token rules).
+/// for `rule` only (the mini fixtures can trip `cost-literals` too).
 fn findings_for(sources: &[(&str, &str)], rule: &str) -> Vec<Finding> {
     let owned: Vec<(String, String)> = sources
         .iter()

@@ -2,8 +2,8 @@
 //! enforced from the tier-1 test suite, so a violation fails `cargo
 //! test` even when CI's dedicated audit job is skipped.
 //!
-//! "Clean" means the full contract: no surviving finding from any token
-//! rule or semantic pass, no stale baseline entry (paid-off debt must
+//! "Clean" means the full contract: no surviving finding from the
+//! `cost-literals` rule or any semantic pass, no stale baseline entry (paid-off debt must
 //! be removed), and no stale allowlist entry (`--strict` in CI).
 
 use std::path::Path;
@@ -63,5 +63,12 @@ fn semantic_suppressions_are_in_active_use() {
     assert!(
         hot > 0,
         "hot-path pass suppressed nothing — is the access_stream call graph empty?"
+    );
+    // The token rule reads the same parsed files: its one allowlisted
+    // finding (mem-sim's `literal 1800`) must still be seen.
+    assert_eq!(
+        report.suppressed_by_rule.get("cost-literals").copied(),
+        Some(1),
+        "cost-literals no longer sees mem-sim/src/latency.rs literal 1800"
     );
 }

@@ -23,8 +23,9 @@
 //! sibling recovery journal, and resume first runs [`io::recover`] to
 //! repair or quarantine state a crash left behind. A checksum mismatch
 //! on load is a typed [`ArtifactError::Corrupt`] (the bad file is kept
-//! at `<path>.corrupt`); v2 files *without* a footer still load, so
-//! pre-integrity checkpoints remain resumable.
+//! at `<path>.corrupt`). A file without a footer is refused and moved
+//! aside the same way: every checkpoint this format version writes is
+//! sealed.
 
 use crate::io::{self, ArtifactError, ArtifactIo, Journal, RealFs};
 use crate::runner::RunReport;
@@ -44,34 +45,20 @@ use std::sync::Mutex;
 /// latches the error.
 const PUBLISH_ATTEMPTS: usize = 4;
 
-/// Checkpoint file format version; bumped on incompatible layout change.
+/// Checkpoint file format version, the only one [`load_checkpoint`]
+/// accepts; bumped on incompatible layout change.
 ///
-/// Version 2: cells are keyed by the typed [`CellKey`] display form
-/// (`"key":"workload/mode/setting/rep"`) instead of four numeric
-/// discriminants, and the counter arrays include `mee_cycles`.
-///
-/// Version 3: keys may carry the optional co-tenancy dimension
-/// (`"workload/mode/setting/rep/tNaM"`). Version-2 files — which by
-/// construction describe grids without the dimension — still load; see
-/// [`OLDEST_LOADABLE_VERSION`].
-///
-/// Version 4: keys may additionally carry the optional
-/// distributed-protocol dimension (`…/pNqT`, after the tenant field when
-/// both are present). Another strict grammar superset, so v2 and v3
-/// files load unchanged.
+/// Version 4: cells are keyed by the typed [`CellKey`] display form
+/// (`"key":"workload/mode/setting/rep"`), optionally followed by the
+/// co-tenancy dimension (`/tNaM`) and the distributed-protocol dimension
+/// (`/pNqT`); the counter arrays include `mee_cycles`; and the file ends
+/// in an integrity footer.
 pub const CHECKPOINT_VERSION: u64 = 4;
-
-/// Oldest checkpoint version [`load_checkpoint`] still accepts. The v3
-/// and v4 key grammars are strict supersets of v2 (the tenant and party
-/// fields are optional in both the type and the display form), so older
-/// files parse unchanged.
-pub const OLDEST_LOADABLE_VERSION: u64 = 2;
 
 /// Pinned input to [`grid_fingerprint`]. Deliberately *not*
 /// [`CHECKPOINT_VERSION`]: the fingerprint guards the sweep's *shape*,
-/// not the file layout, and tenant-free grids render identical keys
-/// under v2 and v3 — so v2 checkpoints stay resumable across the bump.
-/// Bump this only when old fingerprints must be invalidated.
+/// not the file layout. Bump this only when old fingerprints must be
+/// invalidated.
 const FINGERPRINT_EPOCH: u64 = 2;
 
 impl SuiteRunner {
@@ -276,7 +263,7 @@ fn render_document<'a>(grid_fp: u64, cells: impl Iterator<Item = &'a str>) -> St
     out
 }
 
-/// Renders a checkpoint document (the unsealed body, v2 format) for an
+/// Renders a checkpoint document (the unsealed body) for an
 /// arbitrary set of completed cells — the building block campaign
 /// orchestrators use to persist per-stage progress in the exact format
 /// [`load_checkpoint_io`] reads back. Cells are sorted by grid index so
@@ -328,8 +315,7 @@ fn cell_json(index: usize, cell: &SweepCell) -> String {
         out.push_str("\":");
         out.push_str(&v.to_string());
     }
-    // The attempt trail is optional (emitted only when non-empty), so
-    // v2 files written before trails existed parse unchanged.
+    // The attempt trail is optional (emitted only when non-empty).
     if !cell.trail.is_empty() {
         out.push_str(",\"trail\":[");
         for (i, a) in cell.trail.iter().enumerate() {
@@ -425,8 +411,7 @@ fn json_string(out: &mut String, s: &str) {
 /// A parsed checkpoint file.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
-    /// Format version (within
-    /// [`OLDEST_LOADABLE_VERSION`]`..=`[`CHECKPOINT_VERSION`]).
+    /// Format version (always [`CHECKPOINT_VERSION`]).
     pub version: u64,
     /// Digest of the sweep the file belongs to.
     pub grid_fp: u64,
@@ -496,24 +481,31 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, ArtifactError> {
 
 /// [`load_checkpoint`] through an injectable backend.
 ///
-/// The integrity footer (when present) is verified first: a mismatch is
-/// [`ArtifactError::Corrupt`] — *not* a JSON parse error — and the bad
-/// file is preserved at `<path>.corrupt` for inspection. Files without
-/// a footer (written before the integrity format) still load.
+/// The integrity footer is verified first: a mismatch is
+/// [`ArtifactError::Corrupt`] — *not* a JSON parse error — and a missing
+/// footer is [`ArtifactError::Format`]; either way the bad file is
+/// preserved at `<path>.corrupt` for inspection.
 ///
 /// # Errors
 ///
 /// A typed [`ArtifactError`].
 pub fn load_checkpoint_io(io: &dyn ArtifactIo, path: &Path) -> Result<Checkpoint, ArtifactError> {
     let text = io.read(path)?;
+    let refuse = |e: ArtifactError| {
+        // Keep the evidence: an unverifiable file is moved aside instead
+        // of letting a resume half-trust it.
+        io.rename(path, &io::corrupt_sibling(path)).ok();
+        e
+    };
     let body = match io::unseal(path, &text) {
-        Ok((_crc, body)) => body,
-        Err(e @ ArtifactError::Corrupt { .. }) => {
-            // Keep the evidence: a checksum mismatch moves the file
-            // aside instead of letting a resume half-trust it.
-            io.rename(path, &io::corrupt_sibling(path)).ok();
-            return Err(e);
+        Ok((Some(_crc), body)) => body,
+        Ok((None, _)) => {
+            return Err(refuse(ArtifactError::Format {
+                path: path.to_path_buf(),
+                message: "no integrity footer; every checkpoint is sealed".to_string(),
+            }))
         }
+        Err(e @ ArtifactError::Corrupt { .. }) => return Err(refuse(e)),
         Err(e) => return Err(e),
     };
     parse_checkpoint_body(body).map_err(|message| ArtifactError::Format {
@@ -526,10 +518,9 @@ fn parse_checkpoint_body(body: &str) -> Result<Checkpoint, String> {
     let root = parse_json(body)?;
     let obj = root.as_obj("checkpoint")?;
     let version = get(obj, "version")?.as_u64("version")?;
-    if !(OLDEST_LOADABLE_VERSION..=CHECKPOINT_VERSION).contains(&version) {
+    if version != CHECKPOINT_VERSION {
         return Err(format!(
-            "checkpoint version {version} unsupported \
-             (expected {OLDEST_LOADABLE_VERSION}..={CHECKPOINT_VERSION})"
+            "checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
         ));
     }
     let grid_fp = get(obj, "grid_fp")?.as_u64("grid_fp")?;
@@ -1054,7 +1045,7 @@ mod tests {
             .map_or(text.rfind("}]").expect("has end"), |e| start + e + 1);
         partial.push_str(&text[start..end]);
         partial.push_str("]}\n");
-        std::fs::write(&path, partial).expect("writable");
+        std::fs::write(&path, io::seal(&partial)).expect("writable");
         let resumed = suite()
             .run_with_checkpoint(&[&Tick], &path, true)
             .expect("resume succeeds");
@@ -1079,55 +1070,18 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A v2 checkpoint — written before the co-tenancy key dimension
-    /// existed — still loads and resumes to the identical report: the
-    /// version gate accepts 2, the 4-field keys parse (`tenant: None`),
-    /// and the grid fingerprint is unchanged by the format bump.
-    #[test]
-    fn v2_checkpoint_without_tenant_dimension_still_resumes() {
-        let path = scratch("v2-compat");
-        let full = suite()
-            .run_with_checkpoint(&[&Tick], &path, false)
-            .expect("run succeeds");
-        // Rewrite the sealed file as an unsealed v2 document with the
-        // same cells: exactly what a pre-bump build left on disk (v2
-        // predates the integrity footer, so no seal).
-        let stored = load_checkpoint(&path).expect("parses");
-        let text = std::fs::read_to_string(&path).expect("readable");
-        let body = text
-            .replace(
-                &format!("\"version\":{CHECKPOINT_VERSION}"),
-                "\"version\":2",
-            )
-            .lines()
-            .next()
-            .expect("has body")
-            .to_owned();
-        assert!(
-            !body.contains("/t"),
-            "a tenant-free grid must render v2-identical keys"
-        );
-        std::fs::write(&path, format!("{body}\n")).expect("writable");
-        let reloaded = load_checkpoint(&path).expect("v2 file loads");
-        assert_eq!(reloaded.version, 2);
-        assert_eq!(reloaded.cells.len(), stored.cells.len());
-        assert!(reloaded.cells.iter().all(|c| c.key.tenant.is_none()));
-        let resumed = suite()
-            .run_with_checkpoint(&[&Tick], &path, true)
-            .expect("v2 resume succeeds");
-        assert_eq!(full.fingerprint(), resumed.fingerprint());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    /// Versions outside the loadable window are rejected with a
-    /// descriptive message, not mis-parsed.
+    /// Versions other than [`CHECKPOINT_VERSION`] — older v2/v3 files
+    /// included — are rejected with a descriptive message, not
+    /// mis-parsed.
     #[test]
     fn out_of_window_versions_are_rejected() {
         let path = scratch("v1-reject");
-        for bad in [1, CHECKPOINT_VERSION + 1] {
+        for bad in [1, 2, 3, CHECKPOINT_VERSION + 1] {
             std::fs::write(
                 &path,
-                format!("{{\"version\":{bad},\"grid_fp\":0,\"cells\":[]}}\n"),
+                io::seal(&format!(
+                    "{{\"version\":{bad},\"grid_fp\":0,\"cells\":[]}}\n"
+                )),
             )
             .expect("writable");
             let err = load_checkpoint(&path).expect_err("must reject");
@@ -1145,5 +1099,6 @@ mod tests {
             .expect_err("must reject");
         assert!(!err.to_string().is_empty());
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(io::corrupt_sibling(&path));
     }
 }

@@ -26,6 +26,12 @@
 //! stringly `Result<_, String>`, so callers can distinguish a retryable
 //! transient fault from corruption or a dead filesystem.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "RealFs is the ArtifactIo real backend: the one sanctioned std::fs user"
+)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -571,8 +577,8 @@ fn push_hex8(out: &mut String, v: u32) {
 /// Splits a sealed artifact into its verified body.
 ///
 /// Returns `(Some(crc), body)` when a footer was present and verified,
-/// `(None, text)` when no footer exists (legacy artifacts still load —
-/// forward-compat with pre-integrity files).
+/// `(None, text)` when no footer exists; the caller decides whether an
+/// unsealed artifact is acceptable (checkpoint loads refuse it).
 ///
 /// # Errors
 ///

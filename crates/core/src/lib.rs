@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod checkpoint;
 pub mod emit;
@@ -47,7 +48,7 @@ pub mod runner;
 pub mod sweep;
 pub mod workload;
 
-pub use checkpoint::{load_checkpoint, Checkpoint, CHECKPOINT_VERSION, OLDEST_LOADABLE_VERSION};
+pub use checkpoint::{load_checkpoint, Checkpoint, CHECKPOINT_VERSION};
 pub use emit::{Emitter, Format};
 pub use env::{Env, EnvConfig, Region, SimThread};
 pub use io::{ArtifactError, ArtifactIo, ChaosFs, IoErrorKind, RealFs, RecoveryReport};

@@ -47,8 +47,7 @@ use std::sync::{Arc, Mutex};
 /// antagonists. Its [`Display`](std::fmt::Display) form `t{N}a{M}`
 /// round-trips through [`FromStr`](std::str::FromStr) and appends as a
 /// fifth `/`-separated [`CellKey`] field; cells without the dimension
-/// keep the legacy four-field form, so v2 checkpoint and report files
-/// parse unchanged.
+/// keep the four-field form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantDim {
     /// Total tenants on the shared host (at least 1).

@@ -246,6 +246,10 @@ impl ManifestBuilder {
     /// # Panics
     ///
     /// Panics when [`ManifestBuilder::try_build`] would return an error.
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented-panic wrapper around try_build: the panic is the API contract"
+    )]
     pub fn build(self) -> Manifest {
         self.try_build().expect("invalid manifest")
     }

@@ -194,6 +194,10 @@ impl Shim {
     ///
     /// Panics if PF mode is off — callers must check
     /// [`Shim::protected_files`] first.
+    #[expect(
+        clippy::expect_used,
+        reason = "the manifest validation that gates shim construction guarantees the PF key; the shim has no error channel to the caller"
+    )]
     pub fn pf_seal(&mut self, data: &[u8]) -> SealedBlob {
         let key = self.pf.as_ref().expect("pf_seal without protected files");
         let mut nonce = [0u8; 12];
@@ -211,6 +215,10 @@ impl Shim {
     /// # Panics
     ///
     /// Panics if PF mode is off.
+    #[expect(
+        clippy::expect_used,
+        reason = "the manifest validation that gates shim construction guarantees the PF key; the shim has no error channel to the caller"
+    )]
     pub fn pf_open(&self, blob: &SealedBlob) -> Result<Vec<u8>, SealError> {
         let key = self.pf.as_ref().expect("pf_open without protected files");
         key.unseal(blob)

@@ -36,6 +36,10 @@ impl L1Cache {
     }
 
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the slot is masked to the tag count, so dropped high bits cannot change it"
+    )]
     fn slot(&self, line: u64) -> usize {
         (line as usize) & (self.tags.len() - 1)
     }

@@ -537,6 +537,10 @@ impl Machine {
     /// Emits `event` stamped with thread `tid`'s current clock. No-op
     /// (one pointer check) when tracing is disabled.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "thread ids index the thread table, far below u32::MAX"
+    )]
     pub fn trace_emit(&mut self, tid: ThreadId, event: trace::TraceEvent) {
         if let Some(sink) = self.sink.as_deref_mut() {
             let now = self.threads[tid.0].cycles;

@@ -84,6 +84,10 @@ impl PageTable {
     /// Resolves (creating on demand) the chunk holding `page`, via the
     /// one-entry memo when possible.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the assert bounds the chunk index below u32::MAX"
+    )]
     fn chunk_of(&mut self, page: u64) -> usize {
         let region = page / CHUNK_PAGES;
         if region == self.memo_region {

@@ -37,6 +37,10 @@ pub(crate) struct SetIndex {
 
 impl SetIndex {
     /// Builds the index function for `sets >= 1` sets.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "sets is not a power of two here, so 2^64 / sets < 2^64"
+    )]
     pub(crate) fn new(sets: usize) -> Self {
         let d = sets as u64;
         assert!(d >= 1, "at least one set required");
@@ -57,6 +61,10 @@ impl SetIndex {
 
     /// Exactly `n % sets`, division-free.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the result is below sets, which was built from a usize"
+    )]
     pub(crate) fn index(&self, n: u64) -> usize {
         if self.mask != u64::MAX {
             (n & self.mask) as usize
@@ -70,6 +78,10 @@ impl SetIndex {
 
     /// The divisor this index reduces by.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "sets was built from a usize"
+    )]
     pub(crate) fn sets(&self) -> usize {
         self.sets as usize
     }

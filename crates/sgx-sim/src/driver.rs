@@ -67,6 +67,10 @@ impl OpStats {
     }
 
     /// Mean latency in microseconds at the given core frequency.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "a presentation-layer mean; sub-cycle rounding above 2^52 cycles is harmless"
+    )]
     pub fn mean_micros(&self, ghz: f64) -> f64 {
         self.mean_cycles() as f64 / (ghz * 1000.0)
     }

@@ -355,6 +355,10 @@ impl Epc {
     /// Makes `key` resident, evicting a batch if the EPC is full, and
     /// reports what happened. Touching a resident page refreshes its
     /// clock reference bit.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Epc::new asserts the capacity fits u32 frame indices"
+    )]
     pub fn ensure_resident(&mut self, key: PageKey) -> EpcEvent {
         self.probes += 1;
         if let Some(idx) = self.resident.get(key) {
@@ -424,6 +428,10 @@ impl Epc {
     /// frames this is a no-op, and otherwise the clock hand keeps its
     /// position relative to the surviving frames, so tearing one enclave
     /// down does not perturb the replacement order of its neighbours.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Epc::new asserts the capacity fits u32 frame indices"
+    )]
     pub fn remove_enclave(&mut self, enclave: EnclaveId) -> usize {
         self.evicted_set.remove_enclave(enclave);
         // Teardown ends residency, not history: cumulative attribution
@@ -460,6 +468,10 @@ impl Epc {
 
     /// Evicts up to `batch` victims chosen by the clock hand and returns
     /// them. Referenced frames get a second chance.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Epc::new asserts the capacity fits u32 frame indices"
+    )]
     fn evict_batch(&mut self) -> Vec<PageKey> {
         let n = self.batch.min(self.frames.len());
         let mut victims = Vec::with_capacity(n);

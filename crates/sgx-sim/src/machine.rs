@@ -430,6 +430,10 @@ impl SgxMachine {
 
     /// Opens a workload-declared phase span, recording the boundary
     /// counter snapshot. No-op when tracing is disabled.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "thread ids index the thread table, far below u32::MAX"
+    )]
     pub fn trace_phase_begin(&mut self, tid: ThreadId, name: &str) {
         if self.mem.tracing() {
             let snap = self.trace_snapshot();
@@ -446,6 +450,10 @@ impl SgxMachine {
     ///
     /// Propagates the sink's typed [`trace::TraceError`] on span misuse;
     /// always `Ok` when tracing is disabled.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "thread ids index the thread table, far below u32::MAX"
+    )]
     pub fn trace_phase_end(&mut self, tid: ThreadId, name: &str) -> Result<(), trace::TraceError> {
         if self.mem.tracing() {
             let snap = self.trace_snapshot();
@@ -966,6 +974,10 @@ impl SgxMachine {
     /// Services one EPC fault for (`eid`, `page`): AEX exit, driver
     /// alloc/load-back with EWB evictions, ERESUME. Returns the cycles
     /// charged to `tid`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a fault evicts at most one batch, far below u32::MAX pages"
+    )]
     fn epc_page_fault(&mut self, tid: ThreadId, eid: EnclaveId, page: u64) -> u64 {
         let key = PageKey { enclave: eid, page };
         // EPC fault: AEX out, driver handles it, ERESUME back.

@@ -47,6 +47,10 @@ impl<C> Dir<C> {
     }
 
     /// Index of `chunk` within `chunks`, growing the run to cover it.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "usize is 64 bits on every supported host, so a u64 chunk offset fits"
+    )]
     fn slot_for(&mut self, chunk: u64) -> usize {
         if self.chunks.is_empty() {
             self.base = chunk;
@@ -65,6 +69,10 @@ impl<C> Dir<C> {
 
     /// Index of `chunk` if the run covers it.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "usize is 64 bits on every supported host, so a u64 chunk offset fits"
+    )]
     fn slot_of(&self, chunk: u64) -> Option<usize> {
         if chunk < self.base {
             return None;

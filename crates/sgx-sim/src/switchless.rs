@@ -62,6 +62,10 @@ impl SwitchlessPool {
     /// Submits a request issued at time `now` whose untrusted work takes
     /// `work_cycles`; returns the completion time at which the enclave
     /// thread observes the response.
+    #[expect(
+        clippy::expect_used,
+        reason = "SwitchlessPool::new asserts a non-empty worker set, so the earliest-free-worker scan never comes up empty"
+    )]
     pub fn submit(&mut self, now: u64, work_cycles: u64) -> u64 {
         self.served += 1;
         // Earliest-free worker.

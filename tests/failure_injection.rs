@@ -194,7 +194,8 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Keeps only the first `keep` cells of a checkpoint file, simulating a
-/// sweep killed mid-flight.
+/// sweep killed mid-flight. The result is sealed, as every checkpoint a
+/// sweep publishes is.
 fn truncate_cells(text: &str, keep: usize) -> String {
     let mut starts = Vec::new();
     let mut from = 0;
@@ -205,7 +206,7 @@ fn truncate_cells(text: &str, keep: usize) -> String {
     assert!(starts.len() > keep, "not enough cells to truncate");
     let mut out = text[..starts[keep]].trim_end_matches(',').to_owned();
     out.push_str("]}\n");
-    out
+    sgxgauge::core::io::seal(&out)
 }
 
 /// A killed-and-resumed sweep must converge on the same report — and the

@@ -163,8 +163,9 @@ fn crash_at_rename_recovers_and_resumes_to_identical_bytes() {
     cleanup(&path);
 }
 
-/// A checkpoint whose body no longer matches its CRC32 footer is refused
-/// with a typed error and preserved as `<path>.corrupt` for inspection.
+/// A checkpoint whose body no longer matches its CRC32 footer, or that
+/// has no footer at all, is refused with a typed error and preserved as
+/// `<path>.corrupt` for inspection.
 #[test]
 fn corrupt_checkpoint_is_refused_and_preserved() {
     let (_, base_bytes) = baseline("corrupt-base");
@@ -189,27 +190,28 @@ fn corrupt_checkpoint_is_refused_and_preserved() {
         "tampered bytes are preserved for inspection"
     );
     cleanup(&path);
-}
 
-/// Pre-footer (v2) checkpoints without an integrity line still load, so
-/// old sweeps stay resumable across the upgrade.
-#[test]
-fn legacy_checkpoint_without_footer_still_resumes() {
-    let (base_fp, base_bytes) = baseline("legacy-base");
-    let wl = HashJoin::scaled(1024);
-    let refs: Vec<&dyn Workload> = vec![&wl];
-    let path = scratch("legacy-run");
-    cleanup(&path);
+    // A footerless file (the pre-integrity v2 layout) is refused too.
     let body: String = base_bytes
         .lines()
         .filter(|l| !l.starts_with(aio::INTEGRITY_PREFIX))
         .map(|l| format!("{l}\n"))
         .collect();
-    std::fs::write(&path, body).expect("seed legacy checkpoint");
-    let resumed = suite()
+    std::fs::write(&path, &body).expect("seed footerless checkpoint");
+    let err = suite()
         .run_with_checkpoint_io(&refs, &path, true, &RealFs)
-        .expect("legacy file loads");
-    assert_eq!(resumed.fingerprint(), base_fp);
+        .expect_err("a missing footer must refuse the resume");
+    match err {
+        SweepError::Artifact(ArtifactError::Format { message, .. }) => {
+            assert!(message.contains("integrity footer"), "{message}")
+        }
+        other => panic!("unexpected error class: {other}"),
+    }
+    assert!(!path.exists(), "footerless file is moved aside");
+    assert_eq!(
+        std::fs::read_to_string(aio::corrupt_sibling(&path)).expect("preserved"),
+        body
+    );
     cleanup(&path);
 }
 
@@ -290,8 +292,9 @@ proptest! {
     }
 
     /// Any body byte change under an intact footer is caught as
-    /// `Corrupt`. (Destroying the footer itself demotes the file to a
-    /// legacy unsealed artifact by design, so only body flips apply.)
+    /// `Corrupt`. (Destroying the footer itself leaves an unsealed
+    /// artifact, which `unseal` reports as footerless rather than
+    /// corrupt, so only body flips apply.)
     #[test]
     fn seal_detects_any_body_byte_change(raw in prop::collection::vec(any::<u8>(), 1..256),
                                          idx_seed in any::<u64>(), bit in 0usize..7) {
