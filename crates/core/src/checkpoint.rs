@@ -25,7 +25,8 @@
 //! on load is a typed [`ArtifactError::Corrupt`] (the bad file is kept
 //! at `<path>.corrupt`). A file without a footer is refused and moved
 //! aside the same way: every checkpoint this format version writes is
-//! sealed.
+//! sealed. A sealed file at another format version is intact, so it is
+//! refused with a format error but left where it is.
 
 use crate::io::{self, ArtifactError, ArtifactIo, Journal, RealFs};
 use crate::runner::RunReport;
@@ -484,7 +485,9 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, ArtifactError> {
 /// The integrity footer is verified first: a mismatch is
 /// [`ArtifactError::Corrupt`] — *not* a JSON parse error — and a missing
 /// footer is [`ArtifactError::Format`]; either way the bad file is
-/// preserved at `<path>.corrupt` for inspection.
+/// preserved at `<path>.corrupt` for inspection. A verified body that
+/// fails to parse, or carries another format version, is
+/// [`ArtifactError::Format`] and the file stays in place.
 ///
 /// # Errors
 ///
@@ -1072,7 +1075,7 @@ mod tests {
 
     /// Versions other than [`CHECKPOINT_VERSION`] — older v2/v3 files
     /// included — are rejected with a descriptive message, not
-    /// mis-parsed.
+    /// mis-parsed. The sealed file is intact, so it is not moved aside.
     #[test]
     fn out_of_window_versions_are_rejected() {
         let path = scratch("v1-reject");
@@ -1085,20 +1088,27 @@ mod tests {
             )
             .expect("writable");
             let err = load_checkpoint(&path).expect_err("must reject");
+            assert!(matches!(err, ArtifactError::Format { .. }), "{err}");
             assert!(err.to_string().contains("unsupported"), "{err}");
+            assert!(path.exists(), "v{bad} file must stay in place");
+            assert!(!io::corrupt_sibling(&path).exists(), "v{bad} moved aside");
         }
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A truncated body behind a valid footer reaches the JSON parser
+    /// and comes back as a typed format error, not a panic.
     #[test]
     fn malformed_files_are_reported_not_panicked() {
         let path = scratch("malformed");
-        std::fs::write(&path, "{\"version\":1,").expect("writable");
+        std::fs::write(&path, io::seal("{\"version\":1,")).expect("writable");
+        let err = load_checkpoint(&path).expect_err("must reject");
+        assert!(matches!(err, ArtifactError::Format { .. }), "{err}");
+        assert!(!err.to_string().contains("footer"), "{err}");
         let err = suite()
             .run_with_checkpoint(&[&Tick], &path, true)
             .expect_err("must reject");
         assert!(!err.to_string().is_empty());
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(io::corrupt_sibling(&path));
     }
 }
