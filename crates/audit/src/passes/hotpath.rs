@@ -1,14 +1,14 @@
 //! Rule `hot-path`: the hot-path purity pass.
 //!
-//! `Machine::access`/`access_stream` (mem-sim) and
-//! `SgxMachine::access`/`access_stream` (sgx-sim) are executed per
-//! simulated access — they are the throughput ceiling of every scenario,
-//! pinned by `BENCH_hotpath.json`. Any function transitively reachable
+//! `Machine::access` (mem-sim) and `SgxMachine::access` (sgx-sim) are
+//! executed per simulated access — they are the throughput ceiling of
+//! every scenario, pinned by `BENCH_hotpath.json`. Any function transitively reachable
 //! from them must stay *pure* in the systems sense:
 //!
 //! * **no allocation** — outside the declared scratch buffers
 //!   (allowlisted in `crates/audit/allowlists/hot-path.allow` with a
-//!   reason; the ratcheting `stream_buf` is the canonical example);
+//!   reason; the lazily grown page-table chunk map is the canonical
+//!   example);
 //! * **no panicking constructs** — `unwrap`/`expect`/`panic!`/`assert!`
 //!   (`debug_assert!` and `#[cfg(feature = "audit")]`-gated checks are
 //!   compiled out of release builds and exempt);
@@ -19,7 +19,7 @@
 //! [`crate::callgraph`], restricted to the simulator and trace crates
 //! (the trace sink sits on the instrumented path). A finding therefore
 //! names the offending *function*, which may be reached through any of
-//! the four roots.
+//! the two roots.
 
 use super::Workspace;
 use crate::callgraph::{CallSite, NodeId};
@@ -39,9 +39,7 @@ const SCOPE: &[&str] = &[
 /// The hot-path roots: `(file suffix, qualified name)`.
 const ROOTS: &[(&str, &str)] = &[
     ("crates/mem-sim/src/machine.rs", "Machine::access"),
-    ("crates/mem-sim/src/machine.rs", "Machine::access_stream"),
     ("crates/sgx-sim/src/machine.rs", "SgxMachine::access"),
-    ("crates/sgx-sim/src/machine.rs", "SgxMachine::access_stream"),
 ];
 
 /// Allocating constructor paths: `Qual::name`.
@@ -274,7 +272,7 @@ mod tests {
         let w = ws(&[
             (
                 MACHINE,
-                "impl Machine { pub fn access_stream(&mut self) { self.helper(); } }",
+                "impl Machine { pub fn access(&mut self) { self.helper(); } }",
             ),
             (
                 "crates/mem-sim/src/paging.rs",
@@ -292,7 +290,7 @@ mod tests {
         let dirty = ws(&[
             (
                 MACHINE,
-                "impl Machine { pub fn access_stream(&mut self) { self.helper(); } }",
+                "impl Machine { pub fn access(&mut self) { self.helper(); } }",
             ),
             (
                 "crates/mem-sim/src/paging.rs",
@@ -302,7 +300,7 @@ mod tests {
         let clean = ws(&[
             (
                 MACHINE,
-                "impl Machine { pub fn access_stream(&mut self) { self.helper(); } }",
+                "impl Machine { pub fn access(&mut self) { self.helper(); } }",
             ),
             (
                 "crates/mem-sim/src/paging.rs",
@@ -347,7 +345,7 @@ mod tests {
     fn audit_gated_assert_is_exempt() {
         let w = ws(&[(
             MACHINE,
-            "impl Machine { pub fn access_stream(&mut self) {\n\
+            "impl Machine { pub fn access(&mut self) {\n\
                  #[cfg(feature = \"audit\")]\n\
                  assert_eq!(a, b);\n\
                  debug_assert!(ok);\n\
@@ -364,7 +362,7 @@ mod tests {
         let w = ws(&[
             (
                 "crates/sgx-sim/src/machine.rs",
-                "impl SgxMachine { pub fn access_stream(&mut self) { self.epc.touch(k); } }",
+                "impl SgxMachine { pub fn access(&mut self) { self.epc.touch(k); } }",
             ),
             (
                 "crates/sgx-sim/src/epc.rs",

@@ -8,7 +8,7 @@
 //! * [`cycles`] — `cycle-routing`: counter/cycle mutations outside the
 //!   checked manifest and not routed through `sgx_sim::costs`.
 //! * [`hotpath`] — `hot-path`: allocation, panics, locks, or I/O in
-//!   functions reachable from the `access`/`access_stream` hot path.
+//!   functions reachable from the `access` hot path.
 //! * [`phase`] — `phase-balance`: `Env::phase`/`phase_end` spans that a
 //!   single function body opens and closes unevenly.
 //!

@@ -94,8 +94,8 @@ costs, or add the function to the manifest with a reason comment.",
     RuleInfo {
         id: HOT_PATH,
         summary: "allocation/panic/lock/I-O reachable from the access hot path",
-        explain: "The function is transitively reachable from Machine::access/access_stream \
-(mem-sim) or SgxMachine::access/access_stream (sgx-sim) — the per-simulated-access paths \
+        explain: "The function is transitively reachable from Machine::access (mem-sim) or \
+SgxMachine::access (sgx-sim) — the per-simulated-access paths \
 pinned by BENCH_hotpath.json — and contains an allocating call (Vec::new, .push, .collect, \
 .clone, format!, ...), a panicking construct (unwrap/expect/panic!/assert!), a lock, or \
 I/O. debug_assert! and #[cfg(feature = \"audit\")]-gated code are exempt (compiled out of \

@@ -6,7 +6,7 @@
 //!
 //! The `planted_*` tests at the bottom run against the *real* workspace
 //! sources: they prove the hot-path pass actually covers the
-//! `access_stream` call graph (the finding set changes when an
+//! `access` call graph (the finding set changes when an
 //! allocation is planted in a function reachable from it) and that the
 //! determinism pass watches the real emission plane.
 
@@ -325,8 +325,8 @@ fn scan_real(sources: &[(String, String)]) -> ScanReport {
 }
 
 /// The acceptance check from the issue: the hot-path pass demonstrably
-/// covers the `access_stream` call graph. Planting an allocation in a
-/// function transitively reachable from `Machine::access_stream` (the
+/// covers the `access` call graph. Planting an allocation in a
+/// function transitively reachable from `Machine::access` (the
 /// TLB probe, two hops down) must change the finding set; removing it
 /// must restore the clean scan.
 #[test]
@@ -343,7 +343,7 @@ fn planted_allocation_in_real_tlb_probe_changes_the_finding_set() {
         .iter_mut()
         .find(|(p, _)| p == "crates/mem-sim/src/tlb.rs")
         .expect("tlb.rs exists");
-    // Plant next to `Tlb::translate`, which access_stream reaches
+    // Plant next to `Tlb::translate`, which `Machine::access` reaches
     // through its translate! macro; `leak_probe` is a marker we can
     // assert on.
     let needle = "pub fn translate(";

@@ -62,7 +62,7 @@ fn semantic_suppressions_are_in_active_use() {
         .unwrap_or(0);
     assert!(
         hot > 0,
-        "hot-path pass suppressed nothing — is the access_stream call graph empty?"
+        "hot-path pass suppressed nothing — is the access call graph empty?"
     );
     // The token rule reads the same parsed files: its one allowlisted
     // finding (mem-sim's `literal 1800`) must still be seen.

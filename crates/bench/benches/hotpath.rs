@@ -5,61 +5,60 @@
 //! `mem_sim::Machine::access` — so this harness pins its *host*
 //! throughput the same way `trace_overhead.rs` pins simulated cycles. It
 //! embeds a frozen replica of the pre-optimization pipeline (`legacy`
-//! below) and races three implementations over one deterministic
+//! below) and races two implementations over one deterministic
 //! EPC-resident access stream with periodic enclave transitions:
 //!
-//! 1. `legacy`  — the frozen pre-PR pipeline: per-call dispatch across
-//!    an un-inlined crate boundary, a SipHash `HashMap<PageKey, _>` EPC
-//!    residency probe per page, two-pass u32-stamp TLB probes with
-//!    `%`-indexed sets, a SipHash page table, a per-call latency-model
-//!    clone, and a per-access trace poll through an `Option<Box<_>>`;
-//! 2. `percall` — today's `SgxMachine::access`, one call per access;
-//! 3. `stream`  — today's `SgxMachine::access_stream` over batched runs.
+//! 1. `legacy`  — the frozen pre-optimization pipeline: per-call
+//!    dispatch across an un-inlined crate boundary, a SipHash
+//!    `HashMap<PageKey, _>` EPC residency probe per page, two-pass
+//!    u32-stamp TLB probes with `%`-indexed sets, a SipHash page table,
+//!    a per-call latency-model clone, and a per-access trace poll
+//!    through an `Option<Box<_>>`;
+//! 2. `percall` — today's `SgxMachine::access`, one call per access, the
+//!    path every workload runs.
 //!
-//! All three must charge **identical simulated cycles and counters**
-//! (the replica is cycle-faithful, which is what makes the race
-//! meaningful), and the batched path must beat the replica by at least
+//! Both must charge **identical simulated cycles and counters** (the
+//! replica is cycle-faithful, which is what makes the race meaningful),
+//! and the per-call path must beat the replica by at least
 //! [`SPEEDUP_FLOOR`]. Results land in a `BENCH_hotpath.json`; CI re-runs
 //! the harness in smoke mode and fails if the measured speedup falls
-//! below 90% of the committed trajectory point
+//! below 80% (smoke) or 90% (full) of the committed trajectory point
 //! (`SGXGAUGE_PERF_BASELINE`). Gating on the speedup *ratio* — both
-//! contenders timed on the same host, same run — keeps the gate
-//! machine-independent where raw ns/access would not be.
+//! contenders timed on the same host, same run, repetitions interleaved
+//! — keeps the gate machine-independent where raw ns/access would not
+//! be.
 //!
 //! # Why the floor is where it is
 //!
-//! The replica is calibrated against the real pre-PR build: checking out
-//! the pre-PR tree and racing its actual `SgxMachine::access` against
-//! today's over this exact profile (single-core container, trace sink
-//! armed) measured 33.5 ns/access pre-PR vs 19.1 ns/access batched —
-//! 1.76x — with byte-identical simulated cycles. The dispatch overheads
-//! this PR removed (SipHash probes, `%`-set divisions, per-call clones,
-//! heap-allocating batch queues) are real but sit on top of ~13
-//! ns/access of irreducible *model* work (TLB LRU update, L1 tag probe,
-//! counter and clock arithmetic) that any cycle-faithful implementation
-//! must execute per line. That shared floor bounds the honest ratio
-//! near 2x on this host; a 5x point would require either breaking cycle
-//! fidelity or padding the replica with costs the pre-PR build never
-//! paid. The trajectory therefore starts at the measured ~1.7x, and the
-//! floor below guards the gap from regressing, not a hoped-for 5x.
+//! The replica is calibrated against the real pre-optimization build:
+//! racing that build's actual `SgxMachine::access` against the optimized
+//! one over this exact profile (single-core container, trace sink armed)
+//! measured 33.5 ns/access against 24.0 per call, with byte-identical
+//! simulated cycles. The dispatch overheads removed
+//! (SipHash probes, `%`-set divisions, per-call clones) are real but sit
+//! on top of ~13 ns/access of irreducible *model* work (TLB LRU update,
+//! L1 tag probe, counter and clock arithmetic) that any cycle-faithful
+//! implementation must execute per line, which bounds the honest ratio
+//! near 2x. On a shared 2-vCPU host, twelve full runs measured the
+//! per-call ratio between 1.17x and 1.65x (median 1.26x) and twelve smoke
+//! runs between 1.21x and 1.69x; the committed point is a median full
+//! run and the floor sits below the lowest of all of them.
 //!
 //! Env knobs: `SGXGAUGE_PERF_SMOKE=1` shrinks the stream for CI,
 //! `SGXGAUGE_PERF_OUT=<path>` overrides where the JSON is written,
 //! `SGXGAUGE_PERF_BASELINE=<path>` arms the regression gate.
 
-use mem_sim::{AccessKind, StreamRun, PAGE_SIZE};
+use mem_sim::{AccessKind, PAGE_SIZE};
 use sgx_sim::enclave::EnclaveId;
 use sgx_sim::{SgxConfig, SgxMachine};
 use sgxgauge_bench::{banner, results_dir};
 use std::time::Instant;
 
-/// The batched path must beat the frozen legacy pipeline by at least
-/// this factor. Set from the real pre-PR-build race (1.76x measured,
-/// see the module docs): low enough to absorb single-core container
-/// noise, high enough that losing any one recovered overhead class
-/// (the arena EPC index, the division-free probes, the batched counter
-/// flush) trips it.
-const SPEEDUP_FLOOR: f64 = 1.35;
+/// The per-call path must beat the frozen legacy pipeline by at least
+/// this factor: below the lowest ratio of 24 runs on a shared 2-vCPU
+/// host (1.17x, see the module docs), so host noise does not trip it,
+/// while a per-call path that lost its gap over the replica does.
+const SPEEDUP_FLOOR: f64 = 1.10;
 
 /// Accesses per simulated ECALL window: every window is bracketed by an
 /// EEXIT/EENTER pair whose mandatory TLB flushes keep the refill and
@@ -648,19 +647,38 @@ fn synth_stream(n: usize) -> Vec<Access> {
         .collect()
 }
 
-/// Best-of-`reps` wall-clock nanoseconds for `f`, with the simulated
-/// cycles of the last run (identical across runs — the model is
-/// deterministic and the stream is replayed from the same state)
+/// Best-of-`reps` wall-clock nanoseconds for each contender, with the
+/// simulated cycles of its last run (identical across runs — the model
+/// is deterministic and the stream is replayed from the same state)
 /// returned alongside.
-fn time_best<F: FnMut() -> u64>(reps: usize, mut f: F) -> (u64, u64) {
-    let mut best_ns = u64::MAX;
-    let mut cycles = 0;
-    for _ in 0..reps {
+///
+/// Repetitions alternate between the contenders, swapping which goes
+/// first each round, so a stretch of host contention slows both rather
+/// than whichever happened to be timed during it; on a shared host,
+/// timing all of one contender's repetitions before the other's can
+/// swing the ratio by far more than the gap under test.
+fn race<A: FnMut() -> u64, B: FnMut() -> u64>(
+    reps: usize,
+    mut a: A,
+    mut b: B,
+) -> ((u64, u64), (u64, u64)) {
+    fn timed(f: &mut impl FnMut() -> u64, best: &mut (u64, u64)) {
         let t0 = Instant::now();
-        cycles = f();
-        best_ns = best_ns.min(t0.elapsed().as_nanos() as u64);
+        best.1 = f();
+        best.0 = best.0.min(t0.elapsed().as_nanos() as u64);
     }
-    (best_ns, cycles)
+    let mut best_a = (u64::MAX, 0);
+    let mut best_b = (u64::MAX, 0);
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            timed(&mut a, &mut best_a);
+            timed(&mut b, &mut best_b);
+        } else {
+            timed(&mut b, &mut best_b);
+            timed(&mut a, &mut best_a);
+        }
+    }
+    (best_a, best_b)
 }
 
 /// Pulls `"key": <number>` out of a JSON blob without a parser (the
@@ -756,7 +774,7 @@ fn main() {
     ls.mem.counters = legacy::Counters::default();
     ls.arm_poll(SINK_INTERVAL);
     let mut legacy_counters = legacy::Counters::default();
-    let (legacy_ns, legacy_cycles) = time_best(reps, || {
+    let run_legacy = || {
         let c0 = ls.mem.counters;
         let start = ls.mem.cycles;
         for (i, &(off, len, kind)) in stream.iter().enumerate() {
@@ -767,18 +785,13 @@ fn main() {
         }
         legacy_counters = ls.mem.counters.delta(c0);
         ls.mem.cycles - start
-    });
-    assert_eq!(ls.snapshots, 0, "no snapshot may fire inside the race");
-    assert!(
-        legacy_counters.dtlb_misses > 0 && legacy_counters.llc_accesses > 0,
-        "stream must exercise the TLB-refill and LLC-probe paths"
-    );
+    };
 
     // Contender 2: today's per-call pipeline.
     let (mut pm, pt, pe, pheap) = build_real(&cfg);
     assert_eq!(pheap, heap, "enclave layout must be deterministic");
     let mut percall_counters = mem_sim::Counters::new();
-    let (percall_ns, percall_cycles) = time_best(reps, || {
+    let run_percall = || {
         let c0 = *pm.mem().counters();
         let f0 = pm.sgx_counters().epc_faults;
         let start = pm.mem().cycles_of(pt);
@@ -797,148 +810,112 @@ fn main() {
         );
         percall_counters = *pm.mem().counters() - c0;
         pm.mem().cycles_of(pt) - start
-    });
+    };
+    let ((legacy_ns, legacy_cycles), (percall_ns, percall_cycles)) =
+        race(reps, run_legacy, run_percall);
+    assert_eq!(ls.snapshots, 0, "no snapshot may fire inside the race");
+    assert!(
+        legacy_counters.dtlb_misses > 0 && legacy_counters.llc_accesses > 0,
+        "stream must exercise the TLB-refill and LLC-probe paths"
+    );
 
-    // Contender 3: today's batched pipeline, one ECALL window per batch.
-    let (mut sm, st, se, sheap) = build_real(&cfg);
-    let runs: Vec<StreamRun> = stream
-        .iter()
-        .map(|&(off, len, kind)| StreamRun::new(sheap + off, len, kind))
-        .collect();
-    let mut stream_counters = mem_sim::Counters::new();
-    let (stream_ns, stream_cycles) = time_best(reps, || {
-        let c0 = *sm.mem().counters();
-        let f0 = sm.sgx_counters().epc_faults;
-        let start = sm.mem().cycles_of(st);
-        for chunk in runs.chunks(WINDOW) {
-            sm.ecall_exit(st, se).expect("exit");
-            sm.ecall_enter(st, se).expect("enter");
-            sm.access_stream(st, chunk);
-        }
-        assert_eq!(sm.sgx_counters().epc_faults, f0, "resident regime");
-        stream_counters = *sm.mem().counters() - c0;
-        sm.mem().cycles_of(st) - start
-    });
-
-    // The race is only meaningful if all three charge identical
-    // simulated cycles — the optimizations must be invisible to the
-    // model. This is the hot-path analogue of the audit feature's
-    // cycle-decomposition identity (which CI runs over the same paths
-    // via the equivalence property tests). Counters are checked too:
-    // the replica must be event-faithful, not just cycle-faithful.
+    // The race is only meaningful if both charge identical simulated
+    // cycles — the optimizations must be invisible to the model. This is
+    // the hot-path analogue of the audit feature's cycle-decomposition
+    // identity. Counters are checked too: the replica must be
+    // event-faithful, not just cycle-faithful.
     assert_eq!(
         legacy_cycles, percall_cycles,
         "legacy replica and SgxMachine::access disagree on simulated cycles"
     );
-    assert_eq!(
-        percall_cycles, stream_cycles,
-        "SgxMachine::access and access_stream disagree on simulated cycles"
-    );
-    for (name, a, b, c) in [
+    for (name, a, b) in [
         (
             "stlb_hits",
             legacy_counters.stlb_hits,
             percall_counters.stlb_hits,
-            stream_counters.stlb_hits,
         ),
         (
             "dtlb_misses",
             legacy_counters.dtlb_misses,
             percall_counters.dtlb_misses,
-            stream_counters.dtlb_misses,
         ),
         (
             "page_faults",
             legacy_counters.page_faults,
             percall_counters.page_faults,
-            stream_counters.page_faults,
         ),
         (
             "walk_cycles",
             legacy_counters.walk_cycles,
             percall_counters.walk_cycles,
-            stream_counters.walk_cycles,
         ),
         (
             "mem_reads",
             legacy_counters.mem_reads,
             percall_counters.mem_reads,
-            stream_counters.mem_reads,
         ),
         (
             "mem_writes",
             legacy_counters.mem_writes,
             percall_counters.mem_writes,
-            stream_counters.mem_writes,
         ),
         (
             "llc_accesses",
             legacy_counters.llc_accesses,
             percall_counters.llc_accesses,
-            stream_counters.llc_accesses,
         ),
         (
             "llc_misses",
             legacy_counters.llc_misses,
             percall_counters.llc_misses,
-            stream_counters.llc_misses,
         ),
         (
             "mee_cycles",
             legacy_counters.mee_cycles,
             percall_counters.mee_cycles,
-            stream_counters.mee_cycles,
         ),
         (
             "stall_cycles",
             legacy_counters.stall_cycles,
             percall_counters.stall_cycles,
-            stream_counters.stall_cycles,
         ),
         (
             "tlb_flushes",
             legacy_counters.tlb_flushes,
             percall_counters.tlb_flushes,
-            stream_counters.tlb_flushes,
         ),
     ] {
-        assert!(
-            a == b && b == c,
-            "contenders disagree on counter {name}: legacy {a}, percall {b}, stream {c}"
+        assert_eq!(
+            a, b,
+            "contenders disagree on counter {name}: legacy {a}, percall {b}"
         );
     }
 
     let ns_per = |ns: u64| ns as f64 / n as f64;
     let speedup_percall = legacy_ns as f64 / percall_ns as f64;
-    let speedup_stream = legacy_ns as f64 / stream_ns as f64;
-    let per_sec = n as f64 / (stream_ns as f64 / 1e9);
+    let per_sec = n as f64 / (percall_ns as f64 / 1e9);
     println!(
-        "legacy  {:>8.1} ns/access\npercall {:>8.1} ns/access ({:.2}x)\nstream  {:>8.1} ns/access ({:.2}x)",
+        "legacy  {:>8.1} ns/access\npercall {:>8.1} ns/access ({:.2}x)",
         ns_per(legacy_ns),
         ns_per(percall_ns),
         speedup_percall,
-        ns_per(stream_ns),
-        speedup_stream,
     );
     println!(
-        "stream throughput: {:.1} M simulated accesses/sec, {:.1} sim cycles/access",
+        "percall throughput: {:.1} M simulated accesses/sec, {:.1} sim cycles/access",
         per_sec / 1e6,
-        stream_cycles as f64 / n as f64
+        percall_cycles as f64 / n as f64
     );
 
     let json = format!(
         "{{\n  \"bench\": \"hotpath\",\n  \"accesses\": {n},\n  \"smoke\": {smoke},\n  \
          \"ns_per_access_legacy\": {:.2},\n  \"ns_per_access_percall\": {:.2},\n  \
-         \"ns_per_access_stream\": {:.2},\n  \"speedup_percall_vs_legacy\": {:.3},\n  \
-         \"speedup_stream_vs_legacy\": {:.3},\n  \"sim_accesses_per_sec_stream\": {:.0},\n  \
+         \"speedup_percall_vs_legacy\": {:.3},\n  \"sim_accesses_per_sec_percall\": {:.0},\n  \
          \"sim_cycles_per_access\": {:.2}\n}}\n",
         ns_per(legacy_ns),
         ns_per(percall_ns),
-        ns_per(stream_ns),
         speedup_percall,
-        speedup_stream,
         per_sec,
-        stream_cycles as f64 / n as f64,
+        percall_cycles as f64 / n as f64,
     );
     let out = std::env::var("SGXGAUGE_PERF_OUT")
         .map(std::path::PathBuf::from)
@@ -955,8 +932,8 @@ fn main() {
     if let Ok(baseline_path) = std::env::var("SGXGAUGE_PERF_BASELINE") {
         let blob = std::fs::read_to_string(baseline_file(&baseline_path))
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline = json_number(&blob, "speedup_stream_vs_legacy")
-            .unwrap_or_else(|| panic!("no speedup_stream_vs_legacy in {baseline_path}"));
+        let baseline = json_number(&blob, "speedup_percall_vs_legacy")
+            .unwrap_or_else(|| panic!("no speedup_percall_vs_legacy in {baseline_path}"));
         // Smoke runs trade stream length for speed, so their ratio is
         // noisier even after the extra repetitions; the gate loosens a
         // notch there to keep CI deterministic while still catching any
@@ -966,20 +943,20 @@ fn main() {
         println!(
             "baseline speedup {:.2}x, measured {:.2}x (gate: >= {:.0}% of baseline)",
             baseline,
-            speedup_stream,
+            speedup_percall,
             tolerance * 100.0
         );
         assert!(
-            speedup_stream >= tolerance * baseline,
-            "hot-path regression: stream speedup {speedup_stream:.2}x fell below {:.0}% of the \
+            speedup_percall >= tolerance * baseline,
+            "hot-path regression: per-call speedup {speedup_percall:.2}x fell below {:.0}% of the \
              committed {baseline:.2}x trajectory point",
             tolerance * 100.0
         );
     }
 
     assert!(
-        speedup_stream >= SPEEDUP_FLOOR,
-        "stream speedup {speedup_stream:.2}x is below the {SPEEDUP_FLOOR}x floor"
+        speedup_percall >= SPEEDUP_FLOOR,
+        "per-call speedup {speedup_percall:.2}x is below the {SPEEDUP_FLOOR}x floor"
     );
     println!("PASS: hot path holds the {SPEEDUP_FLOOR}x trajectory floor");
 }

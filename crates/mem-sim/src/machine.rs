@@ -50,31 +50,6 @@ impl AccessAttrs {
     };
 }
 
-/// One pre-decomposed run of a batched access stream: `len` contiguous
-/// bytes at `vaddr`, read or written.
-///
-/// Workload inner loops that issue many accesses back to back describe
-/// them as a slice of runs and hand the whole slice to
-/// [`Machine::access_stream`], amortizing per-call dispatch (bounds
-/// checks, latency-model loads, counter flushes) over the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamRun {
-    /// Starting virtual address of the run.
-    pub vaddr: u64,
-    /// Length in bytes; zero-length runs are skipped.
-    pub len: u64,
-    /// Whether the run loads or stores.
-    pub kind: AccessKind,
-}
-
-impl StreamRun {
-    /// Convenience constructor.
-    #[inline]
-    pub fn new(vaddr: u64, len: u64, kind: AccessKind) -> Self {
-        StreamRun { vaddr, len, kind }
-    }
-}
-
 /// What happened during one [`Machine::access`] call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessOutcome {
@@ -131,7 +106,7 @@ impl Default for MachineConfig {
 /// Extra cycles of a translation that misses the L1 dTLB but hits the
 /// second-level TLB (Table 3 class platform; small and fixed, so not part
 /// of the tunable [`LatencyModel`]).
-const STLB_HIT_CYCLES: u64 = 7;
+pub const STLB_HIT_CYCLES: u64 = 7;
 
 /// Per-thread microarchitectural state.
 #[derive(Debug, Clone)]
@@ -161,7 +136,7 @@ pub struct Machine {
     /// sink's schedule only moves forward, so `trace_sample_due` can
     /// answer "not yet" with a single integer compare — no pointer
     /// chase into the boxed sink — which is what keeps sampling off
-    /// the batched hot path.
+    /// the per-access hot path.
     sample_cache: u64,
 }
 
@@ -226,10 +201,11 @@ impl Machine {
 
     /// Issues a memory access of `len` bytes at `vaddr` on thread `tid`.
     ///
-    /// The access is decomposed into 64-byte lines; each line is
-    /// translated (per page), charged through the cache hierarchy, and
-    /// accumulated into the thread clock and the global counters.
-    /// Equivalent to [`Machine::access_stream`] with a single run.
+    /// This is the hot path: every simulated access of every workload
+    /// lands here exactly once. The access is decomposed into 64-byte
+    /// lines; each line is translated (per page), charged through the
+    /// cache hierarchy, and accumulated into the thread clock and the
+    /// global counters.
     ///
     /// Accesses with `len == 0` are no-ops. Accesses extending past the
     /// top of the address space are clamped to its last byte.
@@ -237,7 +213,6 @@ impl Machine {
     /// # Panics
     ///
     /// Panics if `tid` was not returned by [`Machine::add_thread`].
-    #[inline]
     pub fn access(
         &mut self,
         tid: ThreadId,
@@ -246,31 +221,9 @@ impl Machine {
         kind: AccessKind,
         attrs: &AccessAttrs,
     ) -> AccessOutcome {
-        self.access_stream(tid, &[StreamRun { vaddr, len, kind }], attrs)
-    }
-
-    /// Issues a batch of accesses on thread `tid` and returns the
-    /// aggregate outcome: `cycles` summed over the batch, the boolean
-    /// flags OR-ed across it.
-    ///
-    /// This is the hot path. Processing runs in a batch lets the machine
-    /// load the latency model once, keep every counter in a register
-    /// across the whole slice, and flush the totals a single time —
-    /// per-access bookkeeping that dominated the old call-per-access
-    /// profile. Each run is decomposed and charged exactly as
-    /// [`Machine::access`] would, in order, so a stream of N runs is
-    /// observably identical (outcome totals and counter snapshots) to N
-    /// sequential `access` calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` was not returned by [`Machine::add_thread`].
-    pub fn access_stream(
-        &mut self,
-        tid: ThreadId,
-        runs: &[StreamRun],
-        attrs: &AccessAttrs,
-    ) -> AccessOutcome {
+        if len == 0 {
+            return AccessOutcome::default();
+        }
         let mut out = AccessOutcome::default();
         let lat = self.cfg.latency;
         #[cfg(feature = "audit")]
@@ -283,8 +236,8 @@ impl Machine {
             ..
         } = self;
         let t = &mut threads[tid.0];
-        // Batch-local accumulators: counters stay in registers across the
-        // whole slice and are flushed to `self.counters` exactly once.
+        // Local accumulators: counters stay in registers across the line
+        // loop and are flushed to `self.counters` exactly once.
         let mut stlb_hits = 0u64;
         let mut dtlb_misses = 0u64;
         let mut page_faults = 0u64;
@@ -296,96 +249,91 @@ impl Machine {
         let mut mee_cycles = 0u64;
         let mut stall_cycles = 0u64;
         let mut cycles = 0u64;
-        for run in runs {
-            if run.len == 0 {
-                continue;
-            }
-            let first_line = run.vaddr >> LINE_SHIFT;
-            // The last byte is computed with checked arithmetic: a run
-            // reaching past the top of the address space clamps to its
-            // final byte instead of wrapping (silent in release, panic in
-            // debug) to line 0.
-            let last_byte = run.vaddr.saturating_add(run.len - 1);
-            let last_line = last_byte >> LINE_SHIFT;
-            // As 0/1 so read/write counting is branchless: the kind of
-            // successive runs is data-dependent, and a conditional here
-            // mispredicts on every mixed stream.
-            let is_read = matches!(run.kind, AccessKind::Read) as u64;
-            // Translate once per page crossed.
-            macro_rules! translate {
-                ($page:expr) => {
-                    match t.tlb.translate($page) {
-                        TlbOutcome::L1Hit => {}
-                        TlbOutcome::StlbHit => {
-                            stlb_hits += 1;
-                            cycles += STLB_HIT_CYCLES;
+        let first_line = vaddr >> LINE_SHIFT;
+        // The last byte is computed with checked arithmetic: an access
+        // reaching past the top of the address space clamps to its final
+        // byte instead of wrapping (silent in release, panic in debug) to
+        // line 0.
+        let last_byte = vaddr.saturating_add(len - 1);
+        let last_line = last_byte >> LINE_SHIFT;
+        // As 0/1 so read/write counting is branchless: the kind of
+        // successive accesses is data-dependent, and a conditional here
+        // mispredicts on every mixed stream.
+        let is_read = matches!(kind, AccessKind::Read) as u64;
+        // Translate once per page crossed.
+        macro_rules! translate {
+            ($page:expr) => {
+                match t.tlb.translate($page) {
+                    TlbOutcome::L1Hit => {}
+                    TlbOutcome::StlbHit => {
+                        stlb_hits += 1;
+                        cycles += STLB_HIT_CYCLES;
+                    }
+                    TlbOutcome::Miss => {
+                        dtlb_misses += 1;
+                        out.dtlb_miss = true;
+                        // Demand paging: is this the first touch?
+                        if page_table.touch($page) == PageStatus::MinorFault {
+                            page_faults += 1;
+                            out.minor_fault = true;
+                            cycles += lat.minor_fault;
+                            t.walk_cache.flush(); // the fault handler ran
                         }
-                        TlbOutcome::Miss => {
-                            dtlb_misses += 1;
-                            out.dtlb_miss = true;
-                            // Demand paging: is this the first touch?
-                            if page_table.touch($page) == PageStatus::MinorFault {
-                                page_faults += 1;
-                                out.minor_fault = true;
-                                cycles += lat.minor_fault;
-                                t.walk_cache.flush(); // the fault handler ran
-                            }
-                            let fast = t.walk_cache.walk($page);
-                            let mut walk = if fast { lat.walk_fast } else { lat.walk_slow };
-                            if attrs.epcm_check {
-                                walk += lat.epcm_check;
-                            }
-                            walk_cycles += walk;
-                            cycles += walk;
+                        let fast = t.walk_cache.walk($page);
+                        let mut walk = if fast { lat.walk_fast } else { lat.walk_slow };
+                        if attrs.epcm_check {
+                            walk += lat.epcm_check;
+                        }
+                        walk_cycles += walk;
+                        cycles += walk;
+                    }
+                }
+            };
+        }
+        // Charge one line through the cache hierarchy.
+        macro_rules! touch_line {
+            ($line:expr) => {
+                mem_reads += is_read;
+                mem_writes += 1 - is_read;
+                let mem_cycles = if t.l1.access($line) {
+                    lat.l1_hit
+                } else {
+                    llc_accesses += 1;
+                    if llc.access($line) {
+                        lat.llc_hit
+                    } else {
+                        llc_misses += 1;
+                        out.llc_miss = true;
+                        if attrs.encrypted_dram {
+                            let enc = lat.dram_encrypted();
+                            mee_cycles += enc - lat.dram.min(enc);
+                            enc
+                        } else {
+                            lat.dram
                         }
                     }
                 };
+                // Safe subtraction: `Machine::try_new` rejected any
+                // model with `llc_hit < l1_hit` or `dram < llc_hit`.
+                stall_cycles += mem_cycles - lat.l1_hit;
+                cycles += mem_cycles;
+            };
+        }
+        // The first line always translates its page, so the running
+        // page needs no `None`/sentinel state (a sentinel value would
+        // collide with the genuine top page of the address space);
+        // single-line accesses — the bulk of pointer-chase streams — take
+        // exactly this prologue and skip the loop below entirely.
+        let mut cur_page = first_line >> (PAGE_SHIFT - LINE_SHIFT);
+        translate!(cur_page);
+        touch_line!(first_line);
+        for line in first_line + 1..=last_line {
+            let page = line >> (PAGE_SHIFT - LINE_SHIFT);
+            if page != cur_page {
+                cur_page = page;
+                translate!(page);
             }
-            // Charge one line through the cache hierarchy.
-            macro_rules! touch_line {
-                ($line:expr) => {
-                    mem_reads += is_read;
-                    mem_writes += 1 - is_read;
-                    let mem_cycles = if t.l1.access($line) {
-                        lat.l1_hit
-                    } else {
-                        llc_accesses += 1;
-                        if llc.access($line) {
-                            lat.llc_hit
-                        } else {
-                            llc_misses += 1;
-                            out.llc_miss = true;
-                            if attrs.encrypted_dram {
-                                let enc = lat.dram_encrypted();
-                                mee_cycles += enc - lat.dram.min(enc);
-                                enc
-                            } else {
-                                lat.dram
-                            }
-                        }
-                    };
-                    // Safe subtraction: `Machine::try_new` rejected any
-                    // model with `llc_hit < l1_hit` or `dram < llc_hit`.
-                    stall_cycles += mem_cycles - lat.l1_hit;
-                    cycles += mem_cycles;
-                };
-            }
-            // The first line always translates its page, so the running
-            // page needs no `None`/sentinel state (a sentinel value would
-            // collide with the genuine top page of the address space);
-            // single-line runs — the bulk of pointer-chase streams — take
-            // exactly this prologue and skip the loop below entirely.
-            let mut cur_page = first_line >> (PAGE_SHIFT - LINE_SHIFT);
-            translate!(cur_page);
-            touch_line!(first_line);
-            for line in first_line + 1..=last_line {
-                let page = line >> (PAGE_SHIFT - LINE_SHIFT);
-                if page != cur_page {
-                    cur_page = page;
-                    translate!(page);
-                }
-                touch_line!(line);
-            }
+            touch_line!(line);
         }
         t.cycles += cycles;
         out.cycles = cycles;
@@ -399,7 +347,7 @@ impl Machine {
         counters.llc_misses += llc_misses;
         counters.mee_cycles += mee_cycles;
         counters.stall_cycles += stall_cycles;
-        // Every cycle this batch charged must be accounted to exactly one
+        // Every cycle this access charged must be accounted to exactly one
         // counter bucket: STLB-hit penalties, OS fault handling, page
         // walks, hierarchy stalls, or the L1 baseline per line. A drift
         // here means the perf-counter decomposition the reports print no
@@ -466,12 +414,6 @@ impl Machine {
         &self.counters
     }
 
-    /// Mutable access to the counters, for layers (SGX, LibOS) that need
-    /// to account events of their own into the same snapshot stream.
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
-    }
-
     /// Resets counters and clocks but keeps cache/TLB/page-table state.
     /// Used to exclude warm-up or LibOS start-up from measurements.
     pub fn reset_measurement(&mut self) {
@@ -484,11 +426,6 @@ impl Machine {
     /// The OS page table (resident-set queries, unmap).
     pub fn page_table(&self) -> &PageTable {
         &self.page_table
-    }
-
-    /// Mutable OS page table (pre-population by loaders).
-    pub fn page_table_mut(&mut self) -> &mut PageTable {
-        &mut self.page_table
     }
 
     /// The machine configuration this instance was built with.
@@ -734,41 +671,5 @@ mod tests {
             ..Default::default()
         };
         let _ = Machine::new(cfg);
-    }
-
-    #[test]
-    fn stream_matches_sequential_access_calls() {
-        let runs: Vec<StreamRun> = (0..64)
-            .map(|i| StreamRun::new(0x4000 + i * 192, 128, AccessKind::Read))
-            .chain((0..64).map(|i| StreamRun::new(0x9_0000 + i * 64, 8, AccessKind::Write)))
-            .collect();
-        let (mut a, ta) = machine();
-        let (mut b, tb) = machine();
-        let batched = a.access_stream(ta, &runs, &AccessAttrs::EPC);
-        let mut seq = AccessOutcome::default();
-        for r in &runs {
-            let o = b.access(tb, r.vaddr, r.len, r.kind, &AccessAttrs::EPC);
-            seq.cycles += o.cycles;
-            seq.dtlb_miss |= o.dtlb_miss;
-            seq.llc_miss |= o.llc_miss;
-            seq.minor_fault |= o.minor_fault;
-        }
-        assert_eq!(batched, seq);
-        assert_eq!(a.counters(), b.counters());
-        assert_eq!(a.cycles_of(ta), b.cycles_of(tb));
-    }
-
-    #[test]
-    fn empty_stream_and_zero_runs_are_noops() {
-        let (mut m, t) = machine();
-        let out = m.access_stream(t, &[], &AccessAttrs::PLAIN);
-        assert_eq!(out, AccessOutcome::default());
-        let out = m.access_stream(
-            t,
-            &[StreamRun::new(0x4000, 0, AccessKind::Write)],
-            &AccessAttrs::PLAIN,
-        );
-        assert_eq!(out, AccessOutcome::default());
-        assert_eq!(m.counters().mem_writes, 0);
     }
 }

@@ -247,7 +247,7 @@ impl HostBuilder {
     /// Propagates the first [`SgxError`] from enclave construction
     /// (content larger than the ELRANGE, heap exhaustion, TCS limits).
     pub fn build(self) -> Result<Host, SgxError> {
-        let mut machine = SgxMachine::from_config(self.cfg);
+        let mut machine = SgxMachine::new(self.cfg);
         let mut tenants = Vec::with_capacity(self.tenants.len());
         for spec in self.tenants {
             let tid = machine.add_thread();
@@ -278,14 +278,15 @@ impl HostBuilder {
     }
 
     /// The zero-tenant path: builds the bare shared machine, for callers
-    /// that drive enclaves by hand. [`SgxMachine::new`] is a shim over
-    /// this. Registered tenants are ignored (debug builds assert none).
+    /// that drive enclaves by hand; the same machine
+    /// [`SgxMachine::new`] returns. Registered tenants are ignored (debug
+    /// builds assert none).
     pub fn build_machine(self) -> SgxMachine {
         debug_assert!(
             self.tenants.is_empty(),
             "build_machine() ignores registered tenants; use build()"
         );
-        SgxMachine::from_config(self.cfg)
+        SgxMachine::new(self.cfg)
     }
 }
 

@@ -12,8 +12,7 @@ use crate::enclave::{Enclave, EnclaveId, EnclaveState};
 use crate::epc::{Epc, EpcFaultKind, PageKey};
 use crate::switchless::SwitchlessPool;
 use mem_sim::{
-    AccessAttrs, AccessKind, AccessOutcome, Machine, MachineConfig, StreamRun, ThreadId,
-    PAGE_SHIFT, PAGE_SIZE,
+    AccessAttrs, AccessKind, AccessOutcome, Machine, MachineConfig, ThreadId, PAGE_SHIFT, PAGE_SIZE,
 };
 use std::error::Error;
 use std::fmt;
@@ -335,26 +334,15 @@ pub struct SgxMachine {
     /// since — every event that could break that (an EPC fault, an
     /// enclave build or teardown) clears or overwrites the memo.
     last_touched: Option<(EnclaveId, u64)>,
-    /// Scratch queue reused across [`SgxMachine::access_stream`] calls so
-    /// the batched path never allocates in steady state (its capacity
-    /// ratchets up to the largest batch seen).
-    stream_buf: Vec<StreamRun>,
 }
 
 impl SgxMachine {
-    /// Builds the platform from a configuration.
+    /// Builds the platform from a configuration: an empty EPC of
+    /// `epc_bytes - epc_reserved_bytes`, no enclaves and no threads.
     ///
-    /// Kept as a thin shim over the co-tenant host's zero-tenant path
-    /// (`Host::builder().sgx(cfg).build_machine()`), which is the
-    /// preferred spelling going forward — see CHANGELOG. Both routes run
-    /// the same constructor and produce bit-identical machines.
+    /// The co-tenant [`crate::host::HostBuilder`] builds its shared
+    /// machine through this same constructor.
     pub fn new(cfg: SgxConfig) -> Self {
-        crate::host::Host::builder().sgx(cfg).build_machine()
-    }
-
-    /// The one real constructor, shared by [`SgxMachine::new`] and the
-    /// [`crate::host::HostBuilder`].
-    pub(crate) fn from_config(cfg: SgxConfig) -> Self {
         let frames = (cfg.epc_bytes.saturating_sub(cfg.epc_reserved_bytes) >> PAGE_SHIFT) as usize;
         let epc = Epc::new(frames.max(1), cfg.evict_batch.max(1));
         let switchless = if cfg.switchless_workers > 0 {
@@ -381,7 +369,6 @@ impl SgxMachine {
             init_stats: Vec::new(),
             jitter: 0x9e3779b97f4a7c15,
             last_touched: None,
-            stream_buf: Vec::new(),
         }
     }
 
@@ -778,127 +765,10 @@ impl SgxMachine {
         }
     }
 
-    /// Batched counterpart of [`SgxMachine::access`]: issues `runs` in
-    /// order and returns the aggregate outcome (cycles summed, flags
-    /// OR-ed across the batch).
-    ///
-    /// Consecutive runs sharing a routing class (plain vs. ELRANGE) are
-    /// forwarded to [`mem_sim::Machine::access_stream`] as one batch.
-    /// EPC residency is still established page by page and in order, and
-    /// any batched memory work queued before an EPC fault is drained
-    /// *before* the fault is serviced (the fault's AEX flushes the TLB),
-    /// so counter totals and cycle charges are identical to issuing the
-    /// runs one at a time. Only the trace sampling poll — which is
-    /// simulated-time-triggered either way — runs once per batch rather
-    /// than once per run.
-    ///
-    /// # Panics
-    ///
-    /// As for [`SgxMachine::access`], if a thread outside any enclave
-    /// touches an ELRANGE (debug builds).
-    pub fn access_stream(&mut self, tid: ThreadId, runs: &[StreamRun]) -> AccessOutcome {
-        fn merge(agg: &mut AccessOutcome, out: AccessOutcome) {
-            agg.cycles += out.cycles;
-            agg.dtlb_miss |= out.dtlb_miss;
-            agg.llc_miss |= out.llc_miss;
-            agg.minor_fault |= out.minor_fault;
-        }
-        let mut agg = AccessOutcome::default();
-        let mut extra = 0u64;
-        // Steady-state zero-alloc: the queue is taken from (and returned
-        // to) the machine so repeated batches reuse one ratcheting buffer.
-        let mut pending: Vec<StreamRun> = std::mem::take(&mut self.stream_buf);
-        pending.clear();
-        pending.reserve(runs.len());
-        let mut pending_epc = false;
-        #[cfg(feature = "audit")]
-        let mut faulted = false;
-        for run in runs {
-            if run.len == 0 {
-                continue;
-            }
-            let enclave = match self.in_enclave[tid.0] {
-                Some(eid) if self.enclaves[eid.0].contains(run.vaddr) => Some(eid),
-                _ => None,
-            };
-            if (enclave.is_some()) != pending_epc && !pending.is_empty() {
-                let attrs = if pending_epc {
-                    AccessAttrs::EPC
-                } else {
-                    AccessAttrs::PLAIN
-                };
-                merge(&mut agg, self.mem.access_stream(tid, &pending, &attrs));
-                pending.clear();
-            }
-            pending_epc = enclave.is_some();
-            match enclave {
-                None => {
-                    debug_assert!(
-                        !self
-                            .enclaves
-                            .iter()
-                            .any(|e| e.state() == EnclaveState::Initialized
-                                && e.contains(run.vaddr)
-                                && self.in_enclave[tid.0].is_none_or(|c| c != e.id())),
-                        "untrusted access to ELRANGE at {:#x}",
-                        run.vaddr
-                    );
-                }
-                Some(eid) => {
-                    // Establish residency before queueing the run. A fault
-                    // flushes the TLB, so memory work queued *before* the
-                    // faulting page must be issued first to keep the
-                    // sequential TLB-state ordering. Resident touches only
-                    // mutate EPC replacement state, which batched memory
-                    // accesses never observe, so reordering those across
-                    // the queue is invisible.
-                    let first_page = run.vaddr >> PAGE_SHIFT;
-                    let last_byte = run.vaddr.saturating_add(run.len - 1);
-                    let last_page = last_byte >> PAGE_SHIFT;
-                    for page in first_page..=last_page {
-                        if self.last_touched == Some((eid, page)) {
-                            continue;
-                        }
-                        let key = PageKey { enclave: eid, page };
-                        if self.epc.touch(key) {
-                            self.last_touched = Some((eid, page));
-                            continue;
-                        }
-                        if !pending.is_empty() {
-                            merge(
-                                &mut agg,
-                                self.mem.access_stream(tid, &pending, &AccessAttrs::EPC),
-                            );
-                            pending.clear();
-                        }
-                        #[cfg(feature = "audit")]
-                        {
-                            faulted = true;
-                        }
-                        extra += self.epc_page_fault(tid, eid, page);
-                    }
-                }
-            }
-            pending.push(*run);
-        }
-        if !pending.is_empty() {
-            let attrs = if pending_epc {
-                AccessAttrs::EPC
-            } else {
-                AccessAttrs::PLAIN
-            };
-            merge(&mut agg, self.mem.access_stream(tid, &pending, &attrs));
-        }
-        self.stream_buf = pending;
-        agg.cycles += extra;
-        self.trace_tick(tid);
-        #[cfg(feature = "audit")]
-        if faulted {
-            self.audit();
-        }
-        agg
-    }
-
+    /// Establishes EPC residency for every page of `len` bytes at
+    /// `vaddr`, servicing faults (AEX + driver + ERESUME) as needed, then
+    /// charges the access through the memory model with EPC attributes.
+    /// Fault cycles are charged to `tid` and added to the outcome.
     fn secure_access(
         &mut self,
         tid: ThreadId,
@@ -913,40 +783,9 @@ impl SgxMachine {
         // charging it per access would make audit builds O(EPC) per touch.
         #[cfg(feature = "audit")]
         let mut faulted = false;
-        self.epc_phase(
-            tid,
-            eid,
-            vaddr,
-            len,
-            &mut extra,
-            #[cfg(feature = "audit")]
-            &mut faulted,
-        );
-        let mut out = self.mem.access(tid, vaddr, len, kind, &AccessAttrs::EPC);
-        out.cycles += extra;
-        self.trace_tick(tid);
-        #[cfg(feature = "audit")]
-        if faulted {
-            self.audit();
-        }
-        out
-    }
-
-    /// Establishes EPC residency for every page of `len` bytes at
-    /// `vaddr`, servicing faults (AEX + driver + ERESUME) as needed.
-    /// Fault cycles are charged to `tid` and accumulated into `extra`.
-    fn epc_phase(
-        &mut self,
-        tid: ThreadId,
-        eid: EnclaveId,
-        vaddr: u64,
-        len: u64,
-        extra: &mut u64,
-        #[cfg(feature = "audit")] faulted: &mut bool,
-    ) {
         let first_page = vaddr >> PAGE_SHIFT;
-        // Checked: a run reaching the top of the address space clamps to
-        // its last byte instead of wrapping to page 0.
+        // Checked: an access reaching the top of the address space clamps
+        // to its last byte instead of wrapping to page 0.
         let last_byte = vaddr.saturating_add(len - 1);
         let last_page = last_byte >> PAGE_SHIFT;
         for page in first_page..=last_page {
@@ -965,10 +804,18 @@ impl SgxMachine {
             }
             #[cfg(feature = "audit")]
             {
-                *faulted = true;
+                faulted = true;
             }
-            *extra += self.epc_page_fault(tid, eid, page);
+            extra += self.epc_page_fault(tid, eid, page);
         }
+        let mut out = self.mem.access(tid, vaddr, len, kind, &AccessAttrs::EPC);
+        out.cycles += extra;
+        self.trace_tick(tid);
+        #[cfg(feature = "audit")]
+        if faulted {
+            self.audit();
+        }
+        out
     }
 
     /// Services one EPC fault for (`eid`, `page`): AEX exit, driver
@@ -1290,45 +1137,6 @@ mod tests {
         assert_eq!(m.sgx_counters().epc_allocs as usize, 32 + 2); // build + demand
         assert_eq!(m.sgx_counters().epc_faults, 2);
         assert_eq!(m.sgx_counters().aex_exits, 2);
-    }
-
-    #[test]
-    fn stream_matches_sequential_accesses_under_epc_pressure() {
-        // A small EPC forces faults and EWB evictions mid-stream; the
-        // batched path must still charge identical cycles and counters.
-        let build = |_| {
-            let (mut m, t) = small_machine(24);
-            let e = m.create_enclave(32 * PAGE_SIZE, 8 * PAGE_SIZE).unwrap();
-            m.ecall_enter(t, e).unwrap();
-            let heap = m.alloc_enclave_heap(e, 16 * PAGE_SIZE).unwrap();
-            (m, t, heap)
-        };
-        let (mut a, ta, heap_a) = build(());
-        let (mut b, tb, heap_b) = build(());
-        assert_eq!(heap_a, heap_b);
-        // Mix of enclave-heap runs (two sweeps so pages fault, evict and
-        // load back) and untrusted runs (class switches mid-batch).
-        let mut runs = Vec::new();
-        for sweep in 0..2 {
-            for p in 0..16u64 {
-                runs.push(StreamRun::new(heap_a + p * PAGE_SIZE, 96, AccessKind::Read));
-                if p % 5 == sweep {
-                    runs.push(StreamRun::new(0x2000 + p * 64, 64, AccessKind::Write));
-                }
-            }
-        }
-        let batched = a.access_stream(ta, &runs);
-        let mut seq_cycles = 0u64;
-        for r in &runs {
-            seq_cycles += b.access(tb, r.vaddr, r.len, r.kind).cycles;
-        }
-        assert!(
-            a.sgx_counters().epc_evictions > 0,
-            "the scenario must exercise eviction"
-        );
-        assert_eq!(batched.cycles, seq_cycles);
-        assert_eq!(a.sgx_counters(), b.sgx_counters());
-        assert_eq!(a.mem().counters(), b.mem().counters());
     }
 
     #[test]

@@ -186,6 +186,18 @@ fn parse_setting(s: &str) -> Result<InputSetting, String> {
     s.parse()
 }
 
+/// The `--scale` divisor (1 = paper scale when absent). Zero is
+/// rejected: it would otherwise fall through to paper-scale inputs while
+/// reports claim "scale 1/0".
+fn parse_scale(flags: &HashMap<String, String>) -> Result<u64, String> {
+    match flags.get("scale").map(|s| s.parse::<u64>()) {
+        None => Ok(1),
+        Some(Ok(0)) => Err("--scale must be a divisor of at least 1".to_owned()),
+        Some(Ok(scale)) => Ok(scale),
+        Some(Err(_)) => Err("bad --scale: expected a positive integer divisor".to_owned()),
+    }
+}
+
 fn workloads_for(scale: u64) -> Vec<Box<dyn Workload>> {
     if scale <= 1 {
         suite()
@@ -294,11 +306,7 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
-    let scale: u64 = flags
-        .get("scale")
-        .map_or(Ok(1), |s| s.parse())
-        .map_err(|_| "bad --scale")?;
+fn cmd_run(flags: &HashMap<String, String>, scale: u64) -> Result<(), String> {
     let name = flags.get("workload").ok_or("--workload is required")?;
     let mode = parse_mode(flags.get("mode").ok_or("--mode is required")?)?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
@@ -310,11 +318,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
-    let scale: u64 = flags
-        .get("scale")
-        .map_or(Ok(1), |s| s.parse())
-        .map_err(|_| "bad --scale")?;
+fn cmd_compare(flags: &HashMap<String, String>, scale: u64) -> Result<(), String> {
     let name = flags.get("workload").ok_or("--workload is required")?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
     let wl = find_workload(scale, name)?;
@@ -365,11 +369,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_suite(flags: &HashMap<String, String>) -> Result<(), String> {
-    let scale: u64 = flags
-        .get("scale")
-        .map_or(Ok(1), |s| s.parse())
-        .map_err(|_| "bad --scale")?;
+fn cmd_suite(flags: &HashMap<String, String>, scale: u64) -> Result<(), String> {
     let setting = flags
         .get("setting")
         .map_or(Ok(InputSetting::Low), |s| parse_setting(s))?;
@@ -515,11 +515,7 @@ fn artifact_backend(flags: &HashMap<String, String>) -> Result<Box<dyn ArtifactI
     }
 }
 
-fn cmd_trace(name: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    let scale: u64 = flags
-        .get("scale")
-        .map_or(Ok(1), |s| s.parse())
-        .map_err(|_| "bad --scale")?;
+fn cmd_trace(name: &str, flags: &HashMap<String, String>, scale: u64) -> Result<(), String> {
     let mode = parse_mode(flags.get("mode").ok_or("--mode is required")?)?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
     let jobs: usize = flags
@@ -1108,8 +1104,10 @@ fn main() -> ExitCode {
     let Some(valid) = valid_flags(cmd) else {
         return usage();
     };
-    let flags = match parse_flags(cmd, valid, flag_args) {
-        Ok(f) => f,
+    let (flags, scale) = match parse_flags(cmd, valid, flag_args)
+        .and_then(|f| parse_scale(&f).map(|scale| (f, scale)))
+    {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             return usage();
@@ -1117,10 +1115,10 @@ fn main() -> ExitCode {
     };
     let result = match cmd.as_str() {
         "list" => cmd_list(),
-        "run" => cmd_run(&flags),
-        "compare" => cmd_compare(&flags),
-        "suite" => cmd_suite(&flags),
-        "trace" => cmd_trace(positional.as_deref().unwrap_or_default(), &flags),
+        "run" => cmd_run(&flags, scale),
+        "compare" => cmd_compare(&flags, scale),
+        "suite" => cmd_suite(&flags, scale),
+        "trace" => cmd_trace(positional.as_deref().unwrap_or_default(), &flags, scale),
         "campaign" => cmd_campaign(positional.as_deref().unwrap_or_default(), &flags),
         "cotenancy" => cmd_cotenancy(&flags),
         "mpc" => cmd_mpc(&flags),
@@ -1195,6 +1193,22 @@ mod tests {
         let err = parse("run", &["--frobnicate", "1"]).unwrap_err();
         assert!(err.contains("valid flags: --workload"), "{err}");
         assert!(!err.contains("did you mean"), "{err}");
+    }
+
+    #[test]
+    fn zero_or_non_numeric_scale_is_rejected() {
+        for bad in ["0", "x"] {
+            let flags = parse("run", &["--scale", bad]).expect("flag itself is known");
+            let err = parse_scale(&flags).unwrap_err();
+            assert!(err.contains("--scale"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn positive_scale_is_accepted() {
+        let flags = parse("suite", &["--scale", "4"]).unwrap();
+        assert_eq!(parse_scale(&flags), Ok(4));
+        assert_eq!(parse_scale(&parse("suite", &[]).unwrap()), Ok(1));
     }
 
     #[test]
