@@ -12,10 +12,9 @@
 //! * **Token rule** ([`rules`]) — `cost-literals`: a canonical cycle
 //!   cost restated as an integer literal outside `sgx-sim::costs`.
 //! * **Semantic passes** ([`passes`]) — a workspace call graph
-//!   ([`callgraph`]) over the parsed items feeds four reachability-aware
+//!   ([`callgraph`]) over the parsed items feeds three reachability-aware
 //!   passes: determinism (`hash-iter`), cycle conservation
-//!   (`cycle-routing`), hot-path purity (`hot-path`), and phase-span
-//!   balance (`phase-balance`).
+//!   (`cycle-routing`), and hot-path purity (`hot-path`).
 //!
 //! The lexical bans on wall-clock reads, `unwrap`/`expect`, direct
 //! `std::fs` use and truncating casts are clippy lints, not rules of

@@ -9,8 +9,6 @@
 //!   checked manifest and not routed through `sgx_sim::costs`.
 //! * [`hotpath`] — `hot-path`: allocation, panics, locks, or I/O in
 //!   functions reachable from the `access` hot path.
-//! * [`phase`] — `phase-balance`: `Env::phase`/`phase_end` spans that a
-//!   single function body opens and closes unevenly.
 //!
 //! The passes share one [`Workspace`]: every scanned file parsed to
 //! [`FileIr`] plus the [`CallGraph`] built over them. They run on *raw*
@@ -21,7 +19,6 @@
 pub mod cycles;
 pub mod determinism;
 pub mod hotpath;
-pub mod phase;
 
 use crate::callgraph::CallGraph;
 use crate::lexer::Tok;
@@ -62,14 +59,13 @@ impl Workspace {
         }
     }
 
-    /// Runs all four semantic passes, returning raw findings in pass
+    /// Runs all three semantic passes, returning raw findings in pass
     /// order (the caller applies allowlists and the baseline).
     pub fn run_passes(&self, ctx: &RuleContext, manifest: &cycles::CycleManifest) -> Vec<Finding> {
         let mut out = Vec::new();
         out.extend(determinism::run(self));
         out.extend(cycles::run(self, ctx, manifest));
         out.extend(hotpath::run(self));
-        out.extend(phase::run(self));
         out
     }
 }

@@ -5,7 +5,7 @@
 //! [`COST_LITERALS`] is the only rule that reads tokens without the call
 //! graph: a cycle cost restated as a literal outside `sgx-sim::costs`
 //! silently decouples from recalibration (§2.2, §2.3, Appendix A all
-//! cite exact costs). It runs on the same parsed [`FileIr`] as the four
+//! cite exact costs). It runs on the same parsed [`FileIr`] as the three
 //! semantic passes ([`crate::passes`]).
 //!
 //! Four lexical bans (wall clock, `unwrap`, `std::fs`, truncating casts)
@@ -29,19 +29,10 @@ pub const CYCLE_ROUTING: &str = "cycle-routing";
 /// Rule id (semantic): impurity reachable from the access hot path.
 /// See [`crate::passes::hotpath`].
 pub const HOT_PATH: &str = "hot-path";
-/// Rule id (semantic): unbalanced `Env::phase`/`phase_end` spans.
-/// See [`crate::passes::phase`].
-pub const PHASE_BALANCE: &str = "phase-balance";
 
-/// All rule ids, in reporting order: the token rule, then the four
+/// All rule ids, in reporting order: the token rule, then the three
 /// semantic passes.
-pub const ALL_RULES: &[&str] = &[
-    COST_LITERALS,
-    HASH_ITER,
-    CYCLE_ROUTING,
-    HOT_PATH,
-    PHASE_BALANCE,
-];
+pub const ALL_RULES: &[&str] = &[COST_LITERALS, HASH_ITER, CYCLE_ROUTING, HOT_PATH];
 
 /// One rule's registry entry: id, one-line summary, and the long-form
 /// text `gauge-audit --explain <RULE>` prints.
@@ -101,15 +92,6 @@ pinned by BENCH_hotpath.json — and contains an allocating call (Vec::new, .pus
 I/O. debug_assert! and #[cfg(feature = \"audit\")]-gated code are exempt (compiled out of \
 release).\nFix: hoist the work off the hot path, or declare an intended scratch buffer in \
 allowlists/hot-path.allow with the amortization argument recorded.",
-    },
-    RuleInfo {
-        id: PHASE_BALANCE,
-        summary: "Env::phase/phase_end spans unbalanced within one function body",
-        explain: "A function opens a trace phase span (.phase(\"name\")) it never closes, or \
-closes one it never opened. Unbalanced spans surface as WorkloadError::Trace only in traced \
-runs — exactly how an instrumented workload ships broken while untraced tests pass. \
-Non-literal span names pair by count; with_phase(..) is self-balancing and ignored.\nFix: \
-balance within the body or use with_phase.",
     },
 ];
 

@@ -244,36 +244,6 @@ fn hot_path_negative_unreachable_and_gated_code() {
     assert!(gated.is_empty(), "{gated:?}");
 }
 
-// ---- phase-balance --------------------------------------------------
-
-#[test]
-fn phase_balance_positive_unclosed_span() {
-    let f = findings_for(
-        &[(
-            "crates/workloads/src/btree.rs",
-            "fn run(env: &mut Env) { env.phase(\"build\"); work(env); }",
-        )],
-        rules::PHASE_BALANCE,
-    );
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert!(f[0].message.contains("\"build\""));
-}
-
-#[test]
-fn phase_balance_negative_balanced_and_with_phase() {
-    let f = findings_for(
-        &[(
-            "crates/workloads/src/btree.rs",
-            "fn run(env: &mut Env) {\n\
-                 env.phase(\"build\"); work(env); env.phase_end(\"build\")?;\n\
-                 env.with_phase(\"query\", |e| probe(e))?;\n\
-             }",
-        )],
-        rules::PHASE_BALANCE,
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
 // ---- planted-violation tests over the real workspace ----------------
 
 fn workspace_root() -> PathBuf {

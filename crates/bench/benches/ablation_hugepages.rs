@@ -8,23 +8,16 @@
 //! overhead a bigger reach recovers for the worst TLB offender.
 
 use mem_sim::MachineConfig;
-use sgx_sim::SgxConfig;
-use sgxgauge_bench::{banner, emit, fx, scale};
-use sgxgauge_core::{EnvConfig, ExecMode, InputSetting, Runner, RunnerConfig};
+use sgxgauge_bench::{banner, emit, fx, paper_env, scale};
+use sgxgauge_core::{ExecMode, InputSetting, Runner, RunnerConfig};
 use sgxgauge_workloads::HashJoin;
 
 fn run(reach: usize) -> (u64, u64, u64) {
     let mut mem = MachineConfig::default();
     mem.l1_tlb_entries *= reach;
     mem.stlb_entries *= reach;
-    let mut env = EnvConfig::paper(ExecMode::Vanilla, 0);
-    env.sgx = SgxConfig {
-        mem,
-        ..SgxConfig::default()
-    };
-    if scale() > 1 {
-        env.sgx.epc_bytes = (env.sgx.epc_bytes / scale()).max(1 << 20);
-    }
+    let mut env = paper_env(ExecMode::Vanilla);
+    env.sgx.mem = mem;
     let runner = Runner::new(RunnerConfig {
         env,
         repetitions: 1,

@@ -7,18 +7,13 @@
 //! encryption — and how it is dwarfed by paging once the footprint
 //! crosses the EPC.
 
-use sgx_sim::SgxConfig;
-use sgxgauge_bench::{banner, emit, fx, scale};
-use sgxgauge_core::{EnvConfig, ExecMode, InputSetting, Runner, RunnerConfig};
+use sgxgauge_bench::{banner, emit, fx, paper_env, scale};
+use sgxgauge_core::{ExecMode, InputSetting, Runner, RunnerConfig};
 use sgxgauge_workloads::HashJoin;
 
 fn run(mult_x100: u64, setting: InputSetting) -> (u64, u64) {
-    let mut env = EnvConfig::paper(ExecMode::Vanilla, 0);
-    env.sgx = SgxConfig::default();
+    let mut env = paper_env(ExecMode::Vanilla);
     env.sgx.mem.latency.mee_mult_x100 = mult_x100;
-    if scale() > 1 {
-        env.sgx.epc_bytes = (env.sgx.epc_bytes / scale()).max(1 << 20);
-    }
     let runner = Runner::new(RunnerConfig {
         env: env.clone(),
         repetitions: 1,

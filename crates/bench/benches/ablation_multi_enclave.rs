@@ -7,17 +7,17 @@
 
 use mem_sim::{AccessKind, PAGE_SIZE};
 use sgx_sim::{SgxConfig, SgxMachine};
-use sgxgauge_bench::{banner, emit, fk, scale};
+use sgxgauge_bench::{banner, emit, fk, paper_env};
 use sgxgauge_core::report::ReportTable;
+use sgxgauge_core::ExecMode;
 
 /// Runs `n` enclaves, each with a working set of a third of the EPC,
 /// interleaving their access streams round-robin (as co-scheduled
 /// tenants would); returns total cycles and evictions.
 fn run(n: usize) -> (u64, u64) {
     let cfg = SgxConfig {
-        epc_bytes: (92 << 20) / scale().max(1),
         epc_reserved_bytes: 0,
-        ..Default::default()
+        ..paper_env(ExecMode::Native).sgx
     };
     let ws_pages = cfg.epc_bytes / PAGE_SIZE / 3;
     let mut m = SgxMachine::new(cfg);

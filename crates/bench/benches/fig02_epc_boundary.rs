@@ -5,6 +5,10 @@
 //! evictions by 100x as compared to when the amount of memory is less
 //! than the EPC size" (§3.2.1). Baselines: Vanilla at the same input for
 //! the overhead column; the Low setting for the EPC-eviction column.
+//!
+//! Fails unless Native Low evicts no EPC page and Native High does, so
+//! a scaled run (`SGXGAUGE_SCALE`) also checks that the platform shrank
+//! with the inputs.
 
 use sgxgauge_bench::{banner, emit, fk, fx, paper_runner, scale};
 use sgxgauge_core::report::ReportTable;
@@ -58,9 +62,21 @@ fn main() {
     }
     emit("fig02_epc_boundary", &table);
 
-    let high_ev = rows[2].2.sgx.epc_evictions as f64 / low.2.sgx.epc_evictions.max(1) as f64;
+    let (low_ev, high_ev) = (low.2.sgx.epc_evictions, rows[2].2.sgx.epc_evictions);
     println!(
         "Shape check: High/Low eviction ratio = {:.1}x (paper: ~100x; any large jump across the boundary reproduces the claim)",
-        high_ev
+        high_ev as f64 / low_ev.max(1) as f64
+    );
+    // The cliff itself, at every scale: Low fits the EPC, High does not.
+    assert_eq!(
+        low_ev,
+        0,
+        "Native Low must fit the EPC (scale 1/{})",
+        scale()
+    );
+    assert!(
+        high_ev > 0,
+        "Native High must overflow the EPC (scale 1/{})",
+        scale()
     );
 }

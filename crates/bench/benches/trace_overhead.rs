@@ -3,17 +3,19 @@
 //! simulated cycles as an uninstrumented one, and a disabled sink must
 //! leave the golden cycle count untouched.
 //!
-//! The golden constant below is the B-Tree Native/Low runtime at
-//! `--scale 64` captured before the trace plane landed; the bench fails
-//! if the plane ever perturbs it by more than 2% (in practice it must
-//! stay exact, and the traced-vs-untraced assertion *is* exact).
+//! The golden constant below is the B-Tree Native/Low runtime with 1/64
+//! inputs on the unscaled paper platform (not `--scale 64`, which now
+//! shrinks the platform too), captured before the trace plane landed;
+//! the bench fails if the plane ever perturbs it by more than 2% (in
+//! practice it must stay exact, and the traced-vs-untraced assertion
+//! *is* exact).
 
 use sgxgauge_bench::{banner, fk};
 use sgxgauge_core::{EnvConfig, ExecMode, InputSetting, Runner, RunnerConfig, TraceConfig};
 use sgxgauge_workloads::suite_scaled;
 
-/// B-Tree, Native, Low, `--scale 64`, paper platform — captured at the
-/// seed commit, before the trace plane existed.
+/// B-Tree, Native, Low, 1/64 inputs on the full paper platform —
+/// captured at the seed commit, before the trace plane existed.
 const GOLDEN_CYCLES: u64 = 31_279_725;
 
 fn runner() -> Runner {

@@ -8,10 +8,14 @@
 //! the *shapes* (who wins, where the EPC cliff falls, how LibOS compares
 //! to Native).
 //!
-//! Scale: set `SGXGAUGE_SCALE=<divisor>` to shrink every input by that
-//! factor for a smoke run. The default (`1`) is paper scale. The
-//! quick-test EPC is only used by unit tests, never here: benches always
-//! run against the 92 MB EPC platform of Table 3.
+//! Scale: set `SGXGAUGE_SCALE=<divisor>` (an integer in `1..=512`) to
+//! shrink every input and the platform by that factor for a smoke run:
+//! [`paper_env`] is [`EnvConfig::paper_scaled`], so the EPC, its reserved
+//! share, the Native enclave content and the LibOS enclave shrink with
+//! the inputs and Low/High keep their side of the EPC boundary. The
+//! default (`1`) is paper scale, the 92 MB EPC platform of Table 3. Any
+//! other value stops the bench with the parser's message. The quick-test
+//! EPC is only used by unit tests, never here.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -19,17 +23,26 @@
 use sgxgauge_core::report::ReportTable;
 use sgxgauge_core::sweep::SweepReport;
 use sgxgauge_core::{
-    EnvConfig, ExecMode, InputSetting, RunReport, Runner, RunnerConfig, SuiteRunner, Workload,
+    parse_scale, EnvConfig, ExecMode, InputSetting, RunReport, Runner, RunnerConfig, SuiteRunner,
+    Workload,
 };
 use std::path::PathBuf;
 
-/// The input-scale divisor, from `SGXGAUGE_SCALE` (default 1).
+/// The input/platform divisor, from `SGXGAUGE_SCALE` (default 1).
+///
+/// # Panics
+///
+/// Panics with [`parse_scale`]'s message when the variable is set to
+/// anything but an integer in its range: a typo must not turn a smoke
+/// run into a paper-scale one.
 pub fn scale() -> u64 {
-    std::env::var("SGXGAUGE_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&d| d >= 1)
-        .unwrap_or(1)
+    scale_from(std::env::var("SGXGAUGE_SCALE").ok().as_deref())
+}
+
+fn scale_from(var: Option<&str>) -> u64 {
+    var.map_or(1, |s| {
+        parse_scale(s).unwrap_or_else(|e| panic!("SGXGAUGE_SCALE: {e}"))
+    })
 }
 
 /// Directory the CSV artifacts land in: `<target>/gauge-results` of the
@@ -46,12 +59,7 @@ pub fn results_dir() -> PathBuf {
 
 /// A paper-faithful runner (92 MB EPC, 4 GB LibOS enclaves, 1 rep —
 /// the simulator is deterministic, so repetitions only matter when a
-/// bench wants run-to-run structure).
-///
-/// Under `SGXGAUGE_SCALE=d` (smoke runs) the *platform* shrinks by the
-/// same divisor as the workloads — EPC and LibOS enclave size — so the
-/// Low/Medium/High settings keep their position relative to the EPC
-/// boundary and every figure keeps its shape.
+/// bench wants run-to-run structure), on the [`paper_env`] platform.
 pub fn paper_runner() -> Runner {
     Runner::new(RunnerConfig {
         env: paper_env(ExecMode::Vanilla),
@@ -60,22 +68,11 @@ pub fn paper_runner() -> Runner {
 }
 
 /// The environment template behind [`paper_runner`], for benches that
-/// need mode-specific variants (switchless, protected files).
+/// need mode-specific variants (switchless, protected files): the paper
+/// platform shrunk by [`scale`], the divisor the benches also apply to
+/// their inputs ([`EnvConfig::paper_scaled`]).
 pub fn paper_env(mode: ExecMode) -> EnvConfig {
-    let d = scale();
-    let mut env = EnvConfig::paper(mode, 0);
-    if d > 1 {
-        env.sgx.epc_bytes = (env.sgx.epc_bytes / d).max(1 << 20);
-        let enclave = ((4u64 << 30) / d).max(libos_sim::manifest::MIN_ENCLAVE_BYTES.max(128 << 20));
-        let internal = ((64u64 << 20) / d).max(1 << 20);
-        env.manifest = Some(
-            libos_sim::Manifest::builder("workload")
-                .enclave_size(enclave)
-                .internal_memory(internal)
-                .build(),
-        );
-    }
-    env
+    EnvConfig::paper_scaled(mode, scale())
 }
 
 /// A paper-faithful [`SuiteRunner`] over `modes` × `settings`: the
@@ -169,6 +166,20 @@ mod tests {
     fn scale_defaults_to_one() {
         std::env::remove_var("SGXGAUGE_SCALE");
         assert_eq!(scale(), 1);
+        assert_eq!(scale_from(Some("64")), 64);
+    }
+
+    #[test]
+    fn bad_scale_stops_the_bench_instead_of_running_paper_scale() {
+        for bad in ["0", "abc", "-4", "513"] {
+            let err = std::panic::catch_unwind(|| scale_from(Some(bad)))
+                .expect_err("a bad SGXGAUGE_SCALE must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(
+                *msg,
+                format!("SGXGAUGE_SCALE: {}", parse_scale(bad).unwrap_err())
+            );
+        }
     }
 
     #[test]

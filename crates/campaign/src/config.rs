@@ -12,7 +12,8 @@
 //! [campaign]
 //! name = "storm"
 //! seed = 42
-//! scale = 64            # input divisor (0 = paper scale)
+//! scale = 64            # input divisor (0 = paper scale; at most 512
+//!                       # under "paper", which shrinks the platform too)
 //! profile = "quick"     # "quick" (test platform) or "paper"
 //! reps = 2
 //! jobs = 2              # wave width = worker threads (determinism!)
@@ -34,7 +35,7 @@
 //! ```
 
 use faults::{FaultPlan, IoFaultPlan, NetFaultPlan};
-use sgxgauge_core::{ExecMode, InputSetting};
+use sgxgauge_core::{ExecMode, InputSetting, MAX_SCALE};
 
 /// A parsed campaign: global policy plus ordered stages.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +45,9 @@ pub struct CampaignConfig {
     /// Campaign seed: salts every stage's fault and io-fault plans and
     /// the soak kill schedule.
     pub seed: u64,
-    /// Workload input divisor (`0` = paper scale).
+    /// Workload input divisor (`0` = paper scale). Under the paper
+    /// profile it also divides the platform, so it is at most
+    /// [`MAX_SCALE`] there.
     pub scale: u64,
     /// Platform profile: `true` = the scaled-down quick-test machine.
     pub quick_profile: bool,
@@ -297,6 +300,13 @@ impl CampaignConfig {
         }
         if self.jobs == 0 {
             return Err("jobs must be at least 1 (it is the deterministic wave width)".to_owned());
+        }
+        if !self.quick_profile && self.scale > MAX_SCALE {
+            return Err(format!(
+                "scale {} with profile \"paper\": the paper platform supports divisors up to \
+                 {MAX_SCALE} (0 = paper scale); use profile = \"quick\" beyond that",
+                self.scale
+            ));
         }
         if self.breaker_threshold > 0 && self.breaker_cooldown == 0 {
             return Err("breaker_cooldown must be at least 1 when breakers are enabled".to_owned());
@@ -590,6 +600,23 @@ antagonist = true
         assert_eq!(storm.io_faults.as_ref().unwrap().eio_permille, 25);
         assert_eq!(storm.deadline_cycles, 900_000_000);
         assert!(storm.antagonist);
+    }
+
+    #[test]
+    fn paper_profile_scale_is_bounded_by_the_platform() {
+        let cfg = |scale: u64, profile: &str| {
+            CampaignConfig::parse(&format!(
+                "[campaign]\nname = \"x\"\nscale = {scale}\nprofile = \"{profile}\"\n\
+                 [[stage]]\nname = \"s\"\n"
+            ))
+        };
+        assert!(cfg(MAX_SCALE, "paper").is_ok());
+        let err = cfg(MAX_SCALE + 1, "paper").expect_err("above the paper range");
+        assert!(err.contains("up to 512"), "{err}");
+        assert!(
+            cfg(4096, "quick").is_ok(),
+            "the quick platform is not scaled"
+        );
     }
 
     #[test]

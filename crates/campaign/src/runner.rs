@@ -25,8 +25,8 @@ use sgxgauge_core::io::Journal;
 use sgxgauge_core::sweep::{CellError, CellErrorKind, SweepCell};
 use sgxgauge_core::workload::Workload;
 use sgxgauge_core::{
-    checkpoint, io, ArtifactError, ArtifactIo, CellKey, ChaosFs, Emitter, IoErrorKind, PartyDim,
-    RealFs, ReportTable, RunnerConfig, SuiteRunner, TenantDim,
+    checkpoint, io, ArtifactError, ArtifactIo, CellKey, ChaosFs, Emitter, EnvConfig, ExecMode,
+    IoErrorKind, PartyDim, RealFs, ReportTable, RunnerConfig, SuiteRunner, TenantDim,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -368,14 +368,19 @@ fn build_suite(cfg: &CampaignConfig) -> Vec<Box<dyn Workload>> {
     }
 }
 
+/// The quick-test platform, or the paper platform shrunk by the same
+/// divisor as the inputs ([`EnvConfig::paper_scaled`]; `scale = 0` is
+/// paper scale).
 fn base_runner_config(cfg: &CampaignConfig) -> RunnerConfig {
-    let mut base = if cfg.quick_profile {
-        RunnerConfig::quick_test()
+    let env = if cfg.quick_profile {
+        EnvConfig::quick_test(ExecMode::Vanilla)
     } else {
-        RunnerConfig::paper(cfg.reps)
+        EnvConfig::paper_scaled(ExecMode::Vanilla, cfg.scale)
     };
-    base.repetitions = cfg.reps;
-    base
+    RunnerConfig {
+        env,
+        repetitions: cfg.reps,
+    }
 }
 
 /// Selects the stage's workload subset, in config order (the whole

@@ -116,6 +116,41 @@ impl EnvConfig {
         }
     }
 
+    /// The paper platform shrunk by the input divisor `d`, for runs of
+    /// `suite_scaled(d)` inputs: the EPC, its reserved share, the Native
+    /// enclave's measured content, and the LibOS enclave size and
+    /// internal memory are all divided by `d`. Each input setting then
+    /// keeps its place relative to the EPC boundary (Low fits, High does
+    /// not), as it does at paper scale. `d <= 1` is exactly
+    /// [`EnvConfig::paper`] with no manifest.
+    ///
+    /// The LibOS enclave is floored at
+    /// [`MIN_ENCLAVE_BYTES`](libos_sim::manifest::MIN_ENCLAVE_BYTES), its
+    /// internal memory at 1 MB. The LibOS runtime image and its warm-up
+    /// keep their paper size, so from `d = 16` on a LibOS Low run evicts
+    /// a few hundred start-up pages (HashJoin: ~600 at `d = 16`) where
+    /// paper scale evicts none. Native runs carry no such residue. Use
+    /// only a `d` accepted by [`parse_scale`]: above [`MAX_SCALE`] the
+    /// workloads' input floors stop Low from fitting the EPC.
+    pub fn paper_scaled(mode: ExecMode, d: u64) -> Self {
+        let mut cfg = EnvConfig::paper(mode, 0);
+        if d > 1 {
+            cfg.sgx.epc_bytes /= d;
+            cfg.sgx.epc_reserved_bytes /= d;
+            cfg.native_content /= d;
+            let full = Manifest::builder("workload").build();
+            cfg.manifest = Some(
+                Manifest::builder("workload")
+                    .enclave_size(
+                        (full.enclave_size() / d).max(libos_sim::manifest::MIN_ENCLAVE_BYTES),
+                    )
+                    .internal_memory((full.internal_memory() / d).max(1 << 20))
+                    .build(),
+            );
+        }
+        cfg
+    }
+
     /// A configuration for fast unit tests: small EPC (1024 pages) and a
     /// small LibOS enclave, so launches take microseconds.
     pub fn quick_test(mode: ExecMode) -> Self {
@@ -140,6 +175,26 @@ impl EnvConfig {
     pub fn with_protected_files(mut self) -> Self {
         self.protected_files = true;
         self
+    }
+}
+
+/// The largest supported input/platform divisor. At every `d` up to it,
+/// Native Low evicts no EPC page and Native High does
+/// (`tests/paper_claims.rs` checks this at 16, 64 and this bound).
+pub const MAX_SCALE: u64 = 512;
+
+/// Parses a scale divisor (`--scale`, `SGXGAUGE_SCALE`): an integer in
+/// `1..=MAX_SCALE`.
+///
+/// # Errors
+///
+/// A message naming the supported range when `s` is not such an integer.
+pub fn parse_scale(s: &str) -> Result<u64, String> {
+    match s.parse::<u64>() {
+        Ok(d) if (1..=MAX_SCALE).contains(&d) => Ok(d),
+        _ => Err(format!(
+            "scale divisor must be an integer in 1..={MAX_SCALE}, got `{s}`"
+        )),
     }
 }
 
@@ -410,33 +465,31 @@ impl Env {
 
     // ----- trace phases ----------------------------------------------
 
-    /// Opens a named workload phase span in the trace stream (e.g.
-    /// `"build"`, `"query"`). Spans nest; close them innermost-first
-    /// with [`Env::phase_end`]. A no-op when no trace sink is installed,
-    /// so instrumented workloads cost nothing in untraced runs.
-    pub fn phase(&mut self, name: &str) {
+    /// Opens a named phase span on the current thread. Private: spans
+    /// open only through [`Env::with_phase`], which always closes them.
+    fn phase(&mut self, name: &str) {
         let tid = self.threads[self.cur].id;
         self.machine.trace_phase_begin(tid, name);
     }
 
     /// Closes the innermost open phase span, which must be `name`.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkloadError::Trace`] when `name` is not the innermost open
-    /// span (misnested or never opened). Always `Ok` when tracing is
-    /// disabled.
-    pub fn phase_end(&mut self, name: &str) -> Result<(), WorkloadError> {
+    fn phase_end(&mut self, name: &str) -> Result<(), WorkloadError> {
         let tid = self.threads[self.cur].id;
         self.machine.trace_phase_end(tid, name)?;
         Ok(())
     }
 
-    /// Runs `f` inside a phase span, closing it on success or failure.
+    /// Runs `f` inside a named workload phase span in the trace stream
+    /// (e.g. `"build"`, `"query"`), closing the span whether `f`
+    /// succeeds or fails. Spans nest through nested calls. A plain call
+    /// of `f` when no trace sink is installed, so instrumented workloads
+    /// cost nothing in untraced runs.
     ///
     /// # Errors
     ///
-    /// Propagates `f`'s error; otherwise any span-closing error.
+    /// Propagates `f`'s error; otherwise the trace sink's refusal to
+    /// close the span, which only a sink swapped in through
+    /// [`Env::machine_mut`] inside `f` can cause.
     pub fn with_phase<T>(
         &mut self,
         name: &str,
@@ -1068,6 +1121,47 @@ mod tests {
 
     fn env(mode: ExecMode) -> Env {
         Env::new(EnvConfig::quick_test(mode)).unwrap()
+    }
+
+    #[test]
+    fn paper_scaled_at_one_is_the_paper_platform() {
+        for mode in ExecMode::ALL {
+            assert_eq!(
+                format!("{:?}", EnvConfig::paper_scaled(mode, 1)),
+                format!("{:?}", EnvConfig::paper(mode, 0)),
+                "{mode}"
+            );
+        }
+    }
+
+    #[test]
+    fn paper_scaled_divides_every_platform_size() {
+        let paper = EnvConfig::paper(ExecMode::LibOs, 0);
+        let cfg = EnvConfig::paper_scaled(ExecMode::LibOs, 16);
+        assert_eq!(cfg.sgx.epc_bytes, paper.sgx.epc_bytes / 16);
+        assert_eq!(
+            cfg.sgx.epc_reserved_bytes,
+            paper.sgx.epc_reserved_bytes / 16
+        );
+        assert_eq!(cfg.native_content, paper.native_content / 16);
+        let m = cfg.manifest.expect("scaled platforms carry a manifest");
+        assert_eq!(m.enclave_size(), (4 << 30) / 16);
+        assert_eq!(m.internal_memory(), (64 << 20) / 16);
+        let m = EnvConfig::paper_scaled(ExecMode::LibOs, MAX_SCALE)
+            .manifest
+            .expect("manifest");
+        assert_eq!(m.enclave_size(), libos_sim::manifest::MIN_ENCLAVE_BYTES);
+        assert_eq!(m.internal_memory(), 1 << 20);
+    }
+
+    #[test]
+    fn scale_parser_accepts_only_the_supported_range() {
+        assert_eq!(parse_scale("1"), Ok(1));
+        assert_eq!(parse_scale("512"), Ok(MAX_SCALE));
+        for bad in ["0", "513", "-4", "abc", "", "4.0"] {
+            let err = parse_scale(bad).expect_err(bad);
+            assert!(err.contains("1..=512"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod workload;
 
 pub use checkpoint::{load_checkpoint, Checkpoint, CHECKPOINT_VERSION};
 pub use emit::{Emitter, Format};
-pub use env::{Env, EnvConfig, Region, SimThread};
+pub use env::{parse_scale, Env, EnvConfig, Region, SimThread, MAX_SCALE};
 pub use io::{ArtifactError, ArtifactIo, ChaosFs, IoErrorKind, RealFs, RecoveryReport};
 pub use modes::{ExecMode, InputSetting};
 pub use report::{RatioRow, ReportTable};

@@ -39,14 +39,6 @@ pub struct RunnerConfig {
 }
 
 impl RunnerConfig {
-    /// Paper-faithful platform with `reps` repetitions.
-    pub fn paper(reps: usize) -> Self {
-        RunnerConfig {
-            env: EnvConfig::paper(ExecMode::Vanilla, 0),
-            repetitions: reps,
-        }
-    }
-
     /// Fast configuration for tests.
     pub fn quick_test() -> Self {
         RunnerConfig {
@@ -230,44 +222,35 @@ impl Runner {
                     tc.capacity,
                     tc.sample_interval_cycles,
                 ));
-            // The whole measured region runs inside an implicit span so
-            // even un-instrumented workloads get one attribution row.
-            env.phase("run");
         }
         if let Some(budget) = self.cell_budget {
             env.arm_cycle_budget(budget);
         }
-        let output = match self.cell_budget {
+        // The whole measured region runs inside an implicit span so even
+        // un-instrumented workloads get one attribution row.
+        let output = env.with_phase("run", |env| match self.cell_budget {
             // With a watchdog armed, catch its typed unwind and surface
             // it as an error; any other panic keeps propagating.
-            Some(_) => {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    workload.execute(&mut env, setting)
-                })) {
-                    Ok(res) => res?,
-                    Err(payload) => match payload.downcast::<CycleBudgetExceeded>() {
-                        Ok(exceeded) => {
-                            return Err(WorkloadError::Timeout {
-                                budget_cycles: exceeded.budget_cycles,
-                                elapsed_cycles: exceeded.elapsed_cycles,
-                            })
-                        }
-                        Err(other) => std::panic::resume_unwind(other),
-                    },
-                }
-            }
-            None => workload.execute(&mut env, setting)?,
-        };
+            Some(_) => match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                workload.execute(env, setting)
+            })) {
+                Ok(res) => res,
+                Err(payload) => match payload.downcast::<CycleBudgetExceeded>() {
+                    Ok(exceeded) => Err(WorkloadError::Timeout {
+                        budget_cycles: exceeded.budget_cycles,
+                        elapsed_cycles: exceeded.elapsed_cycles,
+                    }),
+                    Err(other) => std::panic::resume_unwind(other),
+                },
+            },
+            None => workload.execute(env, setting),
+        })?;
         let (timeline, phases, trace_sink) = if self.trace.is_some() {
-            env.phase_end("run")?;
             let sink = env
                 .machine_mut()
                 .mem_mut()
                 .take_trace_sink()
                 .expect("sink installed before execute");
-            // Spans the workload opened but never closed are misuse,
-            // reported as a typed error rather than a bad timeline.
-            sink.finish()?;
             (sink.timeline(), sink.phase_attribution(), Some(sink))
         } else {
             (Vec::new(), Vec::new(), None)

@@ -86,9 +86,11 @@ pub enum WorkloadError {
         /// The thread clock when the watchdog fired.
         elapsed_cycles: u64,
     },
-    /// The workload misused the phase-span tracing API (mismatched or
-    /// unclosed [`Env::phase`](crate::Env::phase) spans). Deterministic —
-    /// the same workload mismatches its spans on every run.
+    /// The trace sink refused to close a phase span. Spans open only
+    /// through [`Env::with_phase`](crate::Env::with_phase), which always
+    /// balances them, so only a sink swapped in mid-span through
+    /// [`Env::machine_mut`](crate::Env::machine_mut) can cause this.
+    /// Deterministic — the same workload fails the same way every run.
     Trace(trace::TraceError),
     /// A distributed workload lost its signing quorum: live parties fell
     /// below the threshold. Deterministic for a given fault plan and

@@ -82,6 +82,10 @@ host io fault spec (comma-separated, e.g. \"seed=7,eio=20,torn=5,crash_rename=3\
   torn=<permille>              artifact write silently lands a prefix (0..=1000)
   crash_rename=<n>             crash the harness at the n-th artifact rename
 
+--scale <d>           input and platform divisor in 1..=512 (default 1, paper
+                      scale): shrinks every input and the EPC, reserved EPC,
+                      Native enclave content and LibOS enclave alike, so Low
+                      stays inside the EPC and High outside it
 --max-quarantine <n>  tolerate at most n quarantined (fatal/panicked) cells,
                       then fail fast; completed cells stay checkpointed
 --resume <path>       verifies the checkpoint's CRC32 integrity footer and
@@ -186,16 +190,12 @@ fn parse_setting(s: &str) -> Result<InputSetting, String> {
     s.parse()
 }
 
-/// The `--scale` divisor (1 = paper scale when absent). Zero is
-/// rejected: it would otherwise fall through to paper-scale inputs while
-/// reports claim "scale 1/0".
+/// The `--scale` divisor (1 = paper scale when absent), in the range
+/// [`sgxgauge::core::parse_scale`] accepts.
 fn parse_scale(flags: &HashMap<String, String>) -> Result<u64, String> {
-    match flags.get("scale").map(|s| s.parse::<u64>()) {
-        None => Ok(1),
-        Some(Ok(0)) => Err("--scale must be a divisor of at least 1".to_owned()),
-        Some(Ok(scale)) => Ok(scale),
-        Some(Err(_)) => Err("bad --scale: expected a positive integer divisor".to_owned()),
-    }
+    flags.get("scale").map_or(Ok(1), |s| {
+        sgxgauge::core::parse_scale(s).map_err(|e| format!("bad --scale: {e}"))
+    })
 }
 
 fn workloads_for(scale: u64) -> Vec<Box<dyn Workload>> {
@@ -216,8 +216,10 @@ fn find_workload(scale: u64, name: &str) -> Result<Box<dyn Workload>, String> {
         })
 }
 
-fn runner(flags: &HashMap<String, String>) -> Result<Runner, String> {
-    let mut env = EnvConfig::paper(ExecMode::Vanilla, 0);
+/// The runner for `run`, `compare`, `suite` and `trace`: the paper
+/// platform shrunk by the same divisor as the inputs.
+fn runner(flags: &HashMap<String, String>, scale: u64) -> Result<Runner, String> {
+    let mut env = EnvConfig::paper_scaled(ExecMode::Vanilla, scale);
     if let Some(w) = flags.get("switchless") {
         let workers: usize = w
             .parse()
@@ -311,7 +313,7 @@ fn cmd_run(flags: &HashMap<String, String>, scale: u64) -> Result<(), String> {
     let mode = parse_mode(flags.get("mode").ok_or("--mode is required")?)?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
     let wl = find_workload(scale, name)?;
-    let r = runner(flags)?
+    let r = runner(flags, scale)?
         .run_once(wl.as_ref(), mode, setting)
         .map_err(|e| e.to_string())?;
     print_report(&r);
@@ -322,7 +324,7 @@ fn cmd_compare(flags: &HashMap<String, String>, scale: u64) -> Result<(), String
     let name = flags.get("workload").ok_or("--workload is required")?;
     let setting = parse_setting(flags.get("setting").ok_or("--setting is required")?)?;
     let wl = find_workload(scale, name)?;
-    let runner = runner(flags)?;
+    let runner = runner(flags, scale)?;
     let vanilla = runner
         .run_once(wl.as_ref(), ExecMode::Vanilla, setting)
         .map_err(|e| e.to_string())?;
@@ -392,7 +394,7 @@ fn cmd_suite(flags: &HashMap<String, String>, scale: u64) -> Result<(), String> 
         .get("retries")
         .map_or(Ok(0), |s| s.parse())
         .map_err(|_| "bad --retries")?;
-    let runner = runner(flags)?;
+    let runner = runner(flags, scale)?;
     let mut cfg = runner.config().clone();
     cfg.repetitions = reps.max(1);
     let mut suite_runner = SuiteRunner::new(cfg)
@@ -536,7 +538,7 @@ fn cmd_trace(name: &str, flags: &HashMap<String, String>, scale: u64) -> Result<
     // Route through the sweep executor: traces come from per-cell private
     // sinks keyed on simulated clocks, so `--jobs` provably cannot change
     // a single byte of the output.
-    let base = runner(flags)?;
+    let base = runner(flags, scale)?;
     let mut cfg = base.config().clone();
     cfg.repetitions = 1;
     let mut suite_runner = SuiteRunner::new(cfg)
@@ -1197,10 +1199,13 @@ mod tests {
 
     #[test]
     fn zero_or_non_numeric_scale_is_rejected() {
-        for bad in ["0", "x"] {
+        for bad in ["0", "x", "-4", "513"] {
             let flags = parse("run", &["--scale", bad]).expect("flag itself is known");
             let err = parse_scale(&flags).unwrap_err();
-            assert!(err.contains("--scale"), "{bad}: {err}");
+            assert!(
+                err.contains("--scale") && err.contains("1..=512"),
+                "{bad}: {err}"
+            );
         }
     }
 
@@ -1209,6 +1214,29 @@ mod tests {
         let flags = parse("suite", &["--scale", "4"]).unwrap();
         assert_eq!(parse_scale(&flags), Ok(4));
         assert_eq!(parse_scale(&parse("suite", &[]).unwrap()), Ok(1));
+        let max = sgxgauge::core::MAX_SCALE.to_string();
+        assert_eq!(
+            parse_scale(&parse("suite", &["--scale", &max]).unwrap()),
+            Ok(512)
+        );
+        assert!(USAGE.contains(&format!("divisor in 1..={max}")));
+    }
+
+    /// `--scale` shrinks the platform with the inputs; without it the
+    /// runner carries the paper platform unchanged.
+    #[test]
+    fn runner_pairs_the_platform_with_the_scale() {
+        let at = |args: &[&str]| {
+            let flags = parse("suite", args).unwrap();
+            runner(&flags, parse_scale(&flags).unwrap()).unwrap()
+        };
+        let scaled = at(&["--scale", "4"]);
+        assert_eq!(scaled.config().env.sgx.epc_bytes, (92 << 20) / 4);
+        let paper = at(&[]);
+        assert_eq!(
+            format!("{:?}", paper.config().env),
+            format!("{:?}", EnvConfig::paper(ExecMode::Vanilla, 0))
+        );
     }
 
     #[test]
